@@ -6,8 +6,9 @@ reduction, and emits a run record as JSON and/or a CSV row.  A sweep runs
 the cross product of axis values with per-row seeds derived from a master
 seed, so repeated sweeps are bit-identical.
 
-Heavy imports happen inside functions so the command line can cap the
-BLAS thread pools before numpy loads (the ``--threads`` flag).
+Heavy imports happen inside functions, and the package re-exports load
+lazily, so the command line can size the BLAS thread pools before numpy
+loads (the ``--threads`` flag).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ SCHUR_MAP = {"cg": "cg_mass", "vcycle": "vcycle_mass", "diag": "diag_mass"}
 # application-owned full-length vectors held by the driver during a solve:
 # solution, right-hand side, true-residual check, pressure-normalization scratch
 APPLICATION_VECTORS = 4
+# environment variables that size the BLAS/OpenMP pools when numpy loads
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 CSV_COLUMNS = [
     "dim",
@@ -104,6 +107,8 @@ class RunConfig:
             raise ValueError(f"unknown schur option {self.schur!r}")
         if self.precond_shape not in ("triangular", "diagonal"):
             raise ValueError(f"unknown precond shape {self.precond_shape!r}")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
 
 
 @dataclass
@@ -130,6 +135,7 @@ class RunRecord:
     model_flops_per_vcycle: float = 0.0
     model_flops_per_dof: float = 0.0
     error: str = ""
+    environment: dict = field(default_factory=dict)  # JSON only, not a CSV column
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -225,12 +231,11 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 
 def _flops_per_apply_A(ctx) -> float:
-    """Arithmetic model of one viscous-block application on a level: two
-    cell-batched GEMMs plus the symmetrize/scale pass."""
-    nc, q = ctx.n_cells, ctx.rule.n
-    l2 = ctx.q2.values.shape[1]
-    d = ctx.dim
-    return 4.0 * d * d * nc * l2 * q + 3.0 * d * d * nc * q + 4.0 * d * nc * l2
+    """Arithmetic model of one viscous-block application on a level: the
+    cell-batched GEMM with the (d*3^d)^2 element matrix, the per-cell
+    viscosity scale and the scatter adds."""
+    nc, n = ctx.u_map.shape
+    return 2.0 * nc * n * n + 2.0 * nc * n
 
 
 def memory_report(problem: dict) -> dict:
@@ -239,10 +244,15 @@ def memory_report(problem: dict) -> dict:
     system = problem["system"]
     n = system.n_dofs
     mesh_bytes = sum(ctx.lattices.nbytes for ctx in system.contexts)
-    dof_bytes = sum(
-        ld.q2_map.nbytes + ld.q1_map.nbytes for ld in system.dofmap.levels
+    # scalar maps, plus what the operators hold: each level's combined
+    # velocity map and gather scratch, and the shared element matrices
+    dof_bytes = sum(ld.q2_map.nbytes + ld.q1_map.nbytes for ld in system.dofmap.levels)
+    dof_bytes += sum(
+        ctx.u_map.nbytes + sum(w.nbytes for w in ctx.work) for ctx in system.contexts
     )
+    dof_bytes += sum({id(c.elements): c.elements.nbytes for c in system.contexts}.values())
     cons_bytes = sum(ld.dirichlet_scalar.nbytes for ld in system.dofmap.levels)
+    cons_bytes += sum(ctx.u_constrained.nbytes for ctx in system.contexts)
     mg_bytes = 0
     for mg in (problem.get("velocity_mg"), problem.get("mass_mg")):
         if mg is None:
@@ -387,6 +397,7 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
     record.memory = memory_report(
         {"system": system, "velocity_mg": velocity_mg, "mass_mg": mass_mg, "stats": stats}
     )
+    record.environment = {"threads": {var: os.environ.get(var) for var in THREAD_VARS}}
 
     if out_path:
         write_record(record, out_path, fmt)
@@ -456,7 +467,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restart", type=int, default=50)
     p.add_argument("--reduction", type=float, default=1e-6)
     p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=None, help="BLAS/OpenMP threads (default 1)")
     p.add_argument("--config", help="flat key=value configuration file")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
@@ -476,7 +487,7 @@ def _cfg_from_args(args) -> RunConfig:
         restart=args.restart,
         reduction=args.reduction,
         max_iters=args.max_iters,
-        threads=args.threads,
+        threads=RunConfig.threads if args.threads is None else args.threads,
     )
     if args.config:
         apply_config_entries(cfg, parse_config_file(args.config))
@@ -489,12 +500,6 @@ def _parse_list(text: str, conv):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # cap BLAS pools before numpy is imported anywhere below
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ.setdefault(var, argv[i + 1])
-
     parser = argparse.ArgumentParser(
         prog="gmgstokes-bench",
         description="Matrix-free GMG Stokes solver on the multi-sinker benchmark",
@@ -518,6 +523,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _cfg_from_args(args)
+        if args.threads is not None:
+            cfg.validate()
+            # the flag wins over a preset environment; numpy is not loaded yet
+            for var in THREAD_VARS:
+                os.environ[var] = str(cfg.threads)
         if args.command == "run":
             record = run_benchmark(cfg)
             if args.out:

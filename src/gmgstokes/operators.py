@@ -5,15 +5,23 @@ Every block of the saddle-point system
     [ A   B^T ] [U]   [F]
     [ B   0   ] [P] = [0]
 
-is applied cell-by-cell without storing matrix entries: gather the local
-coefficients of a whole level at once, contract with tabulated reference
-basis arrays (large GEMMs), scale by the cell-constant viscosity and the
-affine Jacobian factors, and scatter-add.  Cells are axis-aligned cubes
-of side h, so physical gradients are reference gradients divided by h
-and the Jacobian determinant is h**dim.
+is applied without storing a global matrix.  Every cell is an
+axis-aligned cube of side h and the viscosity is constant per cell, so
+each block restricted to a cell is a scaling of one reference element
+matrix of the unit cube with mu = 1:
+
+    A_c = mu_c h**(dim-2) K_A,   B_c = h**(dim-1) K_B,   Mp_c = h**dim / mu_c K_M.
+
+An application gathers the local coefficients of every cell of a level
+through one cell->dof map (for the velocity, the component offset plus
+the scalar Q2 map, so all components at once), multiplies the
+(n_cells, n_loc) block by the element matrix in one GEMM, scales each
+cell row, and scatter-adds with one ``np.bincount``.  The element
+matrices are built once per dimension and quadrature rule from the
+tabulated reference bases.
 
 Dirichlet-constrained velocity rows and columns act as the identity.
-Inputs are zeroed on the constrained set before the cell loop and the
+Inputs are zeroed on the constrained set before the gather and the
 constrained output entries are overwritten with the input values, which
 keeps each block symmetric on the unconstrained subspace.
 """
@@ -24,17 +32,51 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import (
-    BasisTables,
-    BlockVector,
-    DofMap,
-    LevelDofs,
-    QuadratureRule,
-    make_gauss_rule,
-    tabulate,
-)
+from .fem import BlockVector, DofMap, LevelDofs, QuadratureRule, make_gauss_rule, tabulate
 from .mesh import MeshHierarchy
 from .viscosity import SinkerConfig, ViscosityField, forcing
+
+
+@dataclass(frozen=True)
+class ElementMatrices:
+    """Reference element matrices of the unit cube with mu = 1.  Velocity
+    rows and columns are ordered component-major, (a, i) -> a*n_loc + i,
+    matching :attr:`LevelOperatorContext.u_map`."""
+
+    A: np.ndarray  # (dim*L2, dim*L2) fully coupled strain-rate form
+    A_partial: np.ndarray  # (dim*L2, dim*L2) diagonal gradient entries only
+    B: np.ndarray  # (L1, dim*L2) divergence, -int (div v) q
+    Mp: np.ndarray  # (L1, L1) pressure mass
+
+    @property
+    def nbytes(self) -> int:
+        return self.A.nbytes + self.A_partial.nbytes + self.B.nbytes + self.Mp.nbytes
+
+
+_ELEMENT_CACHE: dict[tuple, ElementMatrices] = {}
+
+
+def _element_matrices(dim: int, rule: QuadratureRule) -> ElementMatrices:
+    key = (dim, rule.points.tobytes(), rule.weights.tobytes())
+    if key in _ELEMENT_CACHE:
+        return _ELEMENT_CACHE[key]
+    w = rule.weights
+    g = tabulate(2, dim, rule).grads  # (n_q, L2, dim)
+    v1 = tabulate(1, dim, rule).values  # (n_q, L1)
+    n = dim * g.shape[1]
+    # gram[i, b, j, c] = int d_b phi_i d_c phi_j over the unit cube
+    gram = np.einsum("q,qib,qjc->ibjc", w, g, g)
+    eye = np.eye(dim)
+    # 2 eps(v) : eps(u) = grad v_a . grad u_a + d_c v_a d_a u_c
+    ka = np.einsum("ac,ibjb->aicj", eye, gram) + gram.transpose(3, 0, 1, 2)
+    kp = 2.0 * np.einsum("ac,iaja->aicj", eye, gram)
+    km = np.einsum("q,qk,ql->kl", w, v1, v1)
+    kb = -np.einsum("q,qk,qja->kaj", w, v1, g).reshape(v1.shape[1], n)
+    ka, kp, km = (0.5 * (m + m.T) for m in (ka.reshape(n, n), kp.reshape(n, n), km))
+    for m in (ka, kp, kb, km):
+        m.setflags(write=False)
+    out = _ELEMENT_CACHE[key] = ElementMatrices(A=ka, A_partial=kp, B=kb, Mp=km)
+    return out
 
 
 @dataclass
@@ -49,23 +91,20 @@ class LevelOperatorContext:
     dofs: LevelDofs
     mu: np.ndarray  # one averaged viscosity per cell
     rule: QuadratureRule
-    q2: BasisTables
-    q1: BasisTables
-    constrained: np.ndarray  # scalar Q2 indices treated as identity rows
+    elements: ElementMatrices
+    u_map: np.ndarray  # (n_cells, dim*L2) velocity indices, component-major
+    u_constrained: np.ndarray  # velocity indices treated as identity rows
     counters: dict = field(default_factory=dict)
-
-    # flattened basis arrays shared by the kernels, built once
-    _g_fwd: np.ndarray | None = None  # (L2, n_q*dim)
-    _g_bwd: np.ndarray | None = None  # (n_q*dim, L2)
-    _g_ax: list | None = None  # per axis (L2, n_q)
+    # scratch reused by every velocity application, so that a call
+    # allocates only its result (fresh large arrays cost page faults):
+    # masked input, gathered and local blocks.  One context therefore
+    # must not be applied from two threads at once.
+    work: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.mu) != self.n_cells:
             raise ValueError("viscosity values must cover every cell on the level")
-        g = self.q2.grads  # (n_q, L2, dim)
-        self._g_fwd = np.ascontiguousarray(g.transpose(1, 0, 2).reshape(g.shape[1], -1))
-        self._g_bwd = np.ascontiguousarray(g.transpose(0, 2, 1).reshape(-1, g.shape[1]))
-        self._g_ax = [np.ascontiguousarray(g[:, :, a].T) for a in range(self.dim)]
+        self.work = (np.empty(self.n_u), np.empty(self.u_map.shape), np.empty(self.u_map.shape))
 
     @property
     def n_scalar(self) -> int:
@@ -93,11 +132,14 @@ def make_level_context(
 ) -> LevelOperatorContext:
     """Assemble the per-level context; ``constrain=False`` drops the
     boundary treatment (pure Neumann form, used by some diagnostics)."""
-    rule = rule or make_gauss_rule(3, mesh.dim)
+    dim = mesh.dim
+    rule = rule or make_gauss_rule(3, dim)
     ld = dofmap.levels[level]
-    constrained = ld.dirichlet_scalar if constrain else np.empty(0, dtype=np.int64)
+    offsets = np.arange(dim)[None, :, None] * ld.n_scalar
+    u_map = (offsets + ld.q2_map[:, None, :]).reshape(ld.n_cells, -1)
+    constrained = ld.velocity_constrained(dim) if constrain else np.empty(0, dtype=np.int64)
     return LevelOperatorContext(
-        dim=mesh.dim,
+        dim=dim,
         level=level,
         h=mesh.h(level),
         n_cells=mesh.n_cells(level),
@@ -105,9 +147,9 @@ def make_level_context(
         dofs=ld,
         mu=visc.level(level),
         rule=rule,
-        q2=tabulate(2, mesh.dim, rule),
-        q1=tabulate(1, mesh.dim, rule),
-        constrained=constrained,
+        elements=_element_matrices(dim, rule),
+        u_map=u_map,
+        u_constrained=constrained,
     )
 
 
@@ -115,74 +157,53 @@ def _scatter(idx: np.ndarray, local: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(idx.ravel(), weights=local.ravel(), minlength=n)
 
 
-def _zero_constrained(ctx: LevelOperatorContext, u2: np.ndarray) -> np.ndarray:
-    if ctx.constrained.size:
-        u2 = u2.copy()
-        u2[:, ctx.constrained] = 0.0
-    return u2
+def _check_length(x: np.ndarray, n: int, what: str) -> None:
+    if x.size != n:
+        raise ValueError(f"{what} length {x.size} != {n}")
+
+
+def _gather_velocity(ctx: LevelOperatorContext, u: np.ndarray) -> np.ndarray:
+    """Local coefficients of every cell, (n_cells, dim*L2), with the
+    constrained entries zeroed; a view of the context's scratch."""
+    _check_length(u, ctx.n_u, "velocity")
+    um, cells, _ = ctx.work
+    np.copyto(um, u)
+    um[ctx.u_constrained] = 0.0
+    # every index is in range; "clip" lets take write into ``out`` unbuffered
+    return np.take(um, ctx.u_map, out=cells, mode="clip")
+
+
+def _apply_velocity(ctx: LevelOperatorContext, kmat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Gather, one GEMM with the reference matrix, mu_c h**(dim-2) per
+    cell, one scatter; constrained rows act as the identity."""
+    local = np.matmul(_gather_velocity(ctx, u), kmat, out=ctx.work[2])
+    local *= (ctx.mu * ctx.h ** (ctx.dim - 2))[:, None]
+    out = _scatter(ctx.u_map, local, ctx.n_u)
+    out[ctx.u_constrained] = u[ctx.u_constrained]
+    return out
 
 
 def apply_A(ctx: LevelOperatorContext, u: np.ndarray) -> np.ndarray:
-    """Viscous block: A_ij = int 2*mu eps(phi_i) : eps(phi_j).
-
-    Uses the fully coupled strain-rate form: the reference gradient of
-    the trial field is symmetrized at every quadrature point before the
-    test contraction.
-    """
-    dim, nc, ns = ctx.dim, ctx.n_cells, ctx.n_scalar
-    if u.size != ctx.n_u:
-        raise ValueError(f"velocity length {u.size} != {ctx.n_u}")
-    n_q = ctx.rule.n
-    l2 = ctx.q2.values.shape[1]
-    u2 = _zero_constrained(ctx, u.reshape(dim, ns))
-    ul = u2[:, ctx.dofs.q2_map]  # (dim, nc, L2)
-    grad = (ul.reshape(dim * nc, l2) @ ctx._g_fwd).reshape(dim, nc, n_q, dim)
-    # C[a, :, :, b] = 2*eps(u)_{ab} in reference coordinates
-    sym = np.empty_like(grad)
-    for a in range(dim):
-        for b in range(dim):
-            sym[a, :, :, b] = grad[a, :, :, b] + grad[b, :, :, a]
-    scale = ctx.mu[:, None] * ctx.rule.weights[None, :] * ctx.h ** (dim - 2)
-    sym *= scale[None, :, :, None]
-    local = (sym.reshape(dim * nc, n_q * dim) @ ctx._g_bwd).reshape(dim, nc, l2)
-    out = np.empty_like(u2)
-    for a in range(dim):
-        out[a] = _scatter(ctx.dofs.q2_map, local[a], ns)
-    if ctx.constrained.size:
-        out[:, ctx.constrained] = u.reshape(dim, ns)[:, ctx.constrained]
+    """Viscous block: A_ij = int 2*mu eps(phi_i) : eps(phi_j), the fully
+    coupled strain-rate form."""
+    out = _apply_velocity(ctx, ctx.elements.A, u)
     ctx.count("apply_A")
-    return out.reshape(-1)
+    return out
 
 
 def apply_A_partial(ctx: LevelOperatorContext, u: np.ndarray) -> np.ndarray:
     """Partially coupled variant keeping only the diagonal gradient
     entries: component d sees int 2*mu (d_d u_d)(d_d v_d), so the
     velocity components decouple completely."""
-    dim, nc, ns = ctx.dim, ctx.n_cells, ctx.n_scalar
-    if u.size != ctx.n_u:
-        raise ValueError(f"velocity length {u.size} != {ctx.n_u}")
-    u2 = _zero_constrained(ctx, u.reshape(dim, ns))
-    scale = 2.0 * ctx.mu[:, None] * ctx.rule.weights[None, :] * ctx.h ** (dim - 2)
-    out = np.empty_like(u2)
-    for a in range(dim):
-        da = u2[a][ctx.dofs.q2_map] @ ctx._g_ax[a]  # (nc, n_q)
-        out[a] = _scatter(ctx.dofs.q2_map, (da * scale) @ ctx._g_ax[a].T, ns)
-    if ctx.constrained.size:
-        out[:, ctx.constrained] = u.reshape(dim, ns)[:, ctx.constrained]
+    out = _apply_velocity(ctx, ctx.elements.A_partial, u)
     ctx.count("apply_A_partial")
-    return out.reshape(-1)
+    return out
 
 
 def apply_B(ctx: LevelOperatorContext, u: np.ndarray) -> np.ndarray:
     """Divergence block: (B u)_i = -int (div u_h) phi^p_i."""
-    dim, nc, ns = ctx.dim, ctx.n_cells, ctx.n_scalar
-    if u.size != ctx.n_u:
-        raise ValueError(f"velocity length {u.size} != {ctx.n_u}")
-    u2 = _zero_constrained(ctx, u.reshape(dim, ns))
-    div = np.zeros((nc, ctx.rule.n))
-    for a in range(dim):
-        div += u2[a][ctx.dofs.q2_map] @ ctx._g_ax[a]
-    local = (div * ctx.rule.weights[None, :]) @ ctx.q1.values * (-ctx.h ** (dim - 1))
+    local = _gather_velocity(ctx, u) @ ctx.elements.B.T
+    local *= ctx.h ** (ctx.dim - 1)
     ctx.count("apply_B")
     return _scatter(ctx.dofs.q1_map, local, ctx.n_p)
 
@@ -190,28 +211,22 @@ def apply_B(ctx: LevelOperatorContext, u: np.ndarray) -> np.ndarray:
 def apply_Bt(ctx: LevelOperatorContext, p: np.ndarray) -> np.ndarray:
     """Transpose of the divergence block; constrained rows are zeroed so
     that <B u, p> == <u, B^T p> with the masked B."""
-    dim, ns = ctx.dim, ctx.n_scalar
-    if p.size != ctx.n_p:
-        raise ValueError(f"pressure length {p.size} != {ctx.n_p}")
-    pq = p[ctx.dofs.q1_map] @ ctx.q1.values.T  # (nc, n_q)
-    t = pq * ctx.rule.weights[None, :] * (-ctx.h ** (dim - 1))
-    out = np.empty((dim, ns))
-    for a in range(dim):
-        out[a] = _scatter(ctx.dofs.q2_map, t @ ctx._g_ax[a].T, ns)
-    if ctx.constrained.size:
-        out[:, ctx.constrained] = 0.0
+    _check_length(p, ctx.n_p, "pressure")
+    local = np.matmul(np.take(p, ctx.dofs.q1_map), ctx.elements.B, out=ctx.work[2])
+    local *= ctx.h ** (ctx.dim - 1)
+    out = _scatter(ctx.u_map, local, ctx.n_u)
+    out[ctx.u_constrained] = 0.0
     ctx.count("apply_Bt")
-    return out.reshape(-1)
+    return out
 
 
 def apply_Mp(ctx: LevelOperatorContext, p: np.ndarray) -> np.ndarray:
     """Viscosity-weighted pressure mass matrix: int (1/mu) phi^p_i phi^p_j."""
-    if p.size != ctx.n_p:
-        raise ValueError(f"pressure length {p.size} != {ctx.n_p}")
-    pq = p[ctx.dofs.q1_map] @ ctx.q1.values.T
-    t = pq * (ctx.rule.weights[None, :] * ctx.h**ctx.dim / ctx.mu[:, None])
+    _check_length(p, ctx.n_p, "pressure")
+    local = np.take(p, ctx.dofs.q1_map) @ ctx.elements.Mp
+    local *= (ctx.h**ctx.dim / ctx.mu)[:, None]
     ctx.count("apply_Mp")
-    return _scatter(ctx.dofs.q1_map, t @ ctx.q1.values, ctx.n_p)
+    return _scatter(ctx.dofs.q1_map, local, ctx.n_p)
 
 
 def apply_stokes(ctx: LevelOperatorContext, x: BlockVector) -> BlockVector:
@@ -231,13 +246,11 @@ def assemble_rhs_function(
     q2 = tabulate(2, ctx.dim, rule)
     pts = (ctx.lattices[:, None, :] + rule.points[None, :, :]) * ctx.h
     fv = np.asarray(f(pts.reshape(-1, ctx.dim))).reshape(ctx.n_cells, rule.n, ctx.dim)
-    out = np.empty((ctx.dim, ctx.n_scalar))
-    for a in range(ctx.dim):
-        local = (fv[:, :, a] * rule.weights[None, :]) @ q2.values * ctx.h**ctx.dim
-        out[a] = _scatter(ctx.dofs.q2_map, local, ctx.n_scalar)
-    if ctx.constrained.size:
-        out[:, ctx.constrained] = 0.0
-    return BlockVector(out.reshape(-1), np.zeros(ctx.n_p))
+    fw = (fv * rule.weights[None, :, None]).transpose(0, 2, 1)  # (nc, dim, n_q)
+    local = (fw @ q2.values).reshape(ctx.n_cells, -1) * ctx.h**ctx.dim
+    out = _scatter(ctx.u_map, local, ctx.n_u)
+    out[ctx.u_constrained] = 0.0
+    return BlockVector(out, np.zeros(ctx.n_p))
 
 
 def assemble_rhs(ctx: LevelOperatorContext, cfg: SinkerConfig) -> BlockVector:
@@ -246,37 +259,23 @@ def assemble_rhs(ctx: LevelOperatorContext, cfg: SinkerConfig) -> BlockVector:
 
 
 def compute_diagonal(ctx: LevelOperatorContext, which: str) -> np.ndarray:
-    """Exact diagonal of A or Mp, via the closed cell-local form.
-
-    For A the local diagonal of the strain-rate form reduces to
-    mu * h**(dim-2) * sum_q w_q (|grad phi|^2 + (d_a phi)^2) for
-    component a.  Constrained entries are set to 1.
-    """
+    """Exact diagonal of A or Mp: the per-cell scaling of the element
+    matrix diagonal, scattered.  Constrained entries of A are set to 1."""
     if which == "A":
-        g = ctx.q2.grads
-        w = ctx.rule.weights
-        g2 = np.einsum("q,qib->i", w, g**2)
-        out = np.empty((ctx.dim, ctx.n_scalar))
-        for a in range(ctx.dim):
-            ga2 = np.einsum("q,qi->i", w, g[:, :, a] ** 2)
-            local = ctx.mu[:, None] * (g2 + ga2)[None, :] * ctx.h ** (ctx.dim - 2)
-            out[a] = _scatter(ctx.dofs.q2_map, local, ctx.n_scalar)
-        if ctx.constrained.size:
-            out[:, ctx.constrained] = 1.0
-        return out.reshape(-1)
+        local = np.outer(ctx.mu * ctx.h ** (ctx.dim - 2), np.diag(ctx.elements.A))
+        out = _scatter(ctx.u_map, local, ctx.n_u)
+        out[ctx.u_constrained] = 1.0
+        return out
     if which == "Mp":
-        v2 = np.einsum("q,qj->j", ctx.rule.weights, ctx.q1.values**2)
-        local = (ctx.h**ctx.dim / ctx.mu)[:, None] * v2[None, :]
+        local = np.outer(ctx.h**ctx.dim / ctx.mu, np.diag(ctx.elements.Mp))
         return _scatter(ctx.dofs.q1_map, local, ctx.n_p)
     raise ValueError(f"unknown operator {which!r}, expected 'A' or 'Mp'")
 
 
 def pressure_volume_weights(ctx: LevelOperatorContext) -> np.ndarray:
     """Vector m with m_j = int phi^p_j, so m . p = int p_h."""
-    local = np.broadcast_to(
-        ctx.rule.weights @ ctx.q1.values * ctx.h**ctx.dim,
-        (ctx.n_cells, ctx.q1.values.shape[1]),
-    )
+    q1 = tabulate(1, ctx.dim, ctx.rule)
+    local = np.broadcast_to(ctx.rule.weights @ q1.values * ctx.h**ctx.dim, ctx.dofs.q1_map.shape)
     return _scatter(ctx.dofs.q1_map, np.ascontiguousarray(local), ctx.n_p)
 
 

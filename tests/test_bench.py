@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
 from gmgstokes.bench import (
     CSV_COLUMNS,
+    THREAD_VARS,
     RunConfig,
     apply_config_entries,
     derive_seed,
@@ -17,7 +20,8 @@ from gmgstokes.bench import (
     write_record,
 )
 
-SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "gmgstokes", "run_record_schema.json")
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
+SCHEMA_PATH = os.path.join(SRC_DIR, "gmgstokes", "run_record_schema.json")
 
 
 def small_cfg(**kw):
@@ -200,3 +204,38 @@ def test_write_record_csv_appends_header_once(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 3
+
+
+def _subprocess_env(**extra):
+    path = os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def test_bench_import_does_not_load_numpy():
+    # the CLI sizes the BLAS pools, which only works before numpy loads
+    code = "import sys, gmgstokes.bench; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("flag", [["--threads", "3"], ["--threads=3"]])
+def test_cli_threads_flag_overrides_preset_environment(tmp_path, schema, flag):
+    out = tmp_path / "record.json"
+    preset = {var: "7" for var in THREAD_VARS}
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "gmgstokes", "run", "--dim", "2", "--levels", "1",
+            "--sinkers", "1", *flag, "--out", str(out),
+        ],
+        env=_subprocess_env(**preset), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(out.read_text())
+    jsonschema.validate(data, schema)
+    assert data["config"]["threads"] == 3
+    assert data["environment"]["threads"] == {var: "3" for var in THREAD_VARS}
+    assert "environment" not in CSV_COLUMNS

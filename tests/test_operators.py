@@ -3,7 +3,7 @@ import pytest
 
 import oracle
 from conftest import constant_viscosity, make_system, random_viscosity
-from gmgstokes.fem import BlockVector, interpolate_scalar
+from gmgstokes.fem import BlockVector, interpolate_scalar, local_lattice
 from gmgstokes.mesh import build_hierarchy
 from gmgstokes.operators import (
     apply_A,
@@ -20,41 +20,79 @@ from gmgstokes.operators import (
 from gmgstokes.viscosity import sinker_config
 
 
+def _oracle(system, level):
+    mesh, dm, rule = system.mesh, system.dofmap, system.rule
+    mu = system.visc.level(level)
+    return {
+        "A": oracle.assemble_A(mesh, dm, level, mu, rule),
+        "Ap": oracle.assemble_A(mesh, dm, level, mu, rule, partial=True),
+        "B": oracle.assemble_B(mesh, dm, level, rule),
+        "Mp": oracle.assemble_Mp(mesh, dm, level, mu, rule),
+    }
+
+
 def _system_with_oracle(dim, n_levels, seed=0):
     mesh = build_hierarchy(dim, n_levels)
-    visc = random_viscosity(mesh, seed=seed)
-    system = make_system(dim, n_levels, visc=visc)
-    level = mesh.active_level
-    mats = {
-        "A": oracle.assemble_A(mesh, system.dofmap, level, visc.level(level), system.rule),
-        "Ap": oracle.assemble_A(
-            mesh, system.dofmap, level, visc.level(level), system.rule, partial=True
-        ),
-        "B": oracle.assemble_B(mesh, system.dofmap, level, system.rule),
-        "Mp": oracle.assemble_Mp(mesh, system.dofmap, level, visc.level(level), system.rule),
-    }
-    return system, mats
+    system = make_system(dim, n_levels, visc=random_viscosity(mesh, seed=seed))
+    return system, _oracle(system, mesh.active_level)
 
 
 @pytest.mark.parametrize("dim,n_levels", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 3)])
 def test_matrix_free_matches_oracle(dim, n_levels):
     """Every block equals its brute-force assembled counterpart on 20
-    random vectors, relative error below 1e-12 (meshes up to 4^dim cells)."""
-    system, mats = _system_with_oracle(dim, n_levels)
-    ctx = system.active
+    random vectors, relative error below 1e-12, on every level of the
+    hierarchy (the V-cycle applies the coarse ones), up to 4^dim cells."""
+    mesh = build_hierarchy(dim, n_levels)
+    system = make_system(dim, n_levels, visc=random_viscosity(mesh, seed=0))
     rng = np.random.default_rng(42)
-    for _ in range(20):
-        u = rng.standard_normal(ctx.n_u)
-        p = rng.standard_normal(ctx.n_p)
-        pairs = [
-            (apply_A(ctx, u), mats["A"] @ u),
-            (apply_A_partial(ctx, u), mats["Ap"] @ u),
-            (apply_B(ctx, u), mats["B"] @ u),
-            (apply_Bt(ctx, p), mats["B"].T @ p),
-            (apply_Mp(ctx, p), mats["Mp"] @ p),
-        ]
-        for got, want in pairs:
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    for ctx in system.contexts:
+        mats = _oracle(system, ctx.level)
+        for _ in range(20):
+            u = rng.standard_normal(ctx.n_u)
+            p = rng.standard_normal(ctx.n_p)
+            pairs = [
+                (apply_A(ctx, u), mats["A"] @ u),
+                (apply_A_partial(ctx, u), mats["Ap"] @ u),
+                (apply_B(ctx, u), mats["B"] @ u),
+                (apply_Bt(ctx, p), mats["B"].T @ p),
+                (apply_Mp(ctx, p), mats["Mp"] @ p),
+            ]
+            for got, want in pairs:
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_element_matrix_invariants(dim):
+    """K_A is symmetric positive semidefinite and its null space is exactly
+    the d(d+1)/2 rigid motions; K_B annihilates constant velocities; K_M
+    is symmetric positive definite."""
+    el = make_system(dim, 1).active.elements
+    n_rigid = dim * (dim + 1) // 2
+    assert np.array_equal(el.A, el.A.T)
+    lam, vecs = np.linalg.eigh(el.A)
+    tol = 1e-10 * lam.max()
+    assert lam.min() > -tol
+    null = vecs[:, np.abs(lam) <= tol]
+    assert null.shape[1] == n_rigid
+    # rigid motions sampled at the reference support points, component-major
+    x = local_lattice(2, dim) / 2.0
+    rigid = []
+    for a in range(dim):
+        t = np.zeros((dim, len(x)))
+        t[a] = 1.0
+        rigid.append(t)
+        for b in range(a + 1, dim):
+            r = np.zeros((dim, len(x)))
+            r[a], r[b] = x[:, b], -x[:, a]
+            rigid.append(r)
+    rigid = np.stack([r.ravel() for r in rigid], axis=1)
+    assert np.linalg.matrix_rank(rigid) == n_rigid
+    assert np.abs(el.A @ rigid).max() < tol
+    assert np.abs(rigid - null @ (null.T @ rigid)).max() < 1e-10
+    constants = np.kron(np.eye(dim), np.ones((len(x), 1)))
+    assert np.abs(el.B @ constants).max() < 1e-13
+    assert np.array_equal(el.Mp, el.Mp.T)
+    assert np.linalg.eigvalsh(el.Mp).min() > 0.0
 
 
 def test_single_cell_dense_match_mu_one():
@@ -227,10 +265,12 @@ def test_rhs_matches_quadrature_oracle():
 
 @pytest.mark.parametrize("dim,n_levels", [(2, 1), (2, 2), (3, 1)])
 def test_diagonal_matches_oracle(dim, n_levels):
-    system, mats = _system_with_oracle(dim, n_levels, seed=11)
-    ctx = system.active
-    assert np.abs(compute_diagonal(ctx, "A") - np.diag(mats["A"])).max() < 1e-12
-    assert np.abs(compute_diagonal(ctx, "Mp") - np.diag(mats["Mp"])).max() < 1e-12
+    mesh = build_hierarchy(dim, n_levels)
+    system = make_system(dim, n_levels, visc=random_viscosity(mesh, seed=11))
+    for ctx in system.contexts:
+        mats = _oracle(system, ctx.level)
+        assert np.abs(compute_diagonal(ctx, "A") - np.diag(mats["A"])).max() < 1e-12
+        assert np.abs(compute_diagonal(ctx, "Mp") - np.diag(mats["Mp"])).max() < 1e-12
 
 
 def test_diagonal_positive_and_scales_with_mu():
