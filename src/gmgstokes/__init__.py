@@ -30,7 +30,7 @@ _EXPORTS = {
         "gmres",
         "idr_s",
     ),
-    "mesh": ("CellId", "MeshHierarchy", "build_hierarchy", "cell_center", "children"),
+    "mesh": ("MeshHierarchy", "build_hierarchy"),
     "multigrid": (
         "ChebyshevParams",
         "Multigrid",
@@ -42,7 +42,6 @@ _EXPORTS = {
         "estimate_lambda_max",
         "prolongate",
         "restrict",
-        "vcycle",
     ),
     "operators": (
         "LevelOperatorContext",
@@ -62,9 +61,7 @@ _EXPORTS = {
         "ConfigError",
         "PrecondConfig",
         "StokesPreconditioner",
-        "apply_P",
         "normalize_pressure",
-        "schur_apply",
     ),
     "viscosity": (
         "SinkerConfig",

@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-PACKAGE_VERSION = "0.1.0"
+from . import __version__
 
 SCHUR_MAP = {"cg": "cg_mass", "vcycle": "vcycle_mass", "diag": "diag_mass"}
 # application-owned full-length vectors held by the driver during a solve:
@@ -168,7 +168,7 @@ class RunRecord:
             "model_flops_per_vcycle": self.model_flops_per_vcycle,
             "model_flops_per_dof": self.model_flops_per_dof,
             "error": self.error,
-            "package_version": PACKAGE_VERSION,
+            "package_version": __version__,
         }
         return [vals.get(c, "") for c in CSV_COLUMNS]
 
@@ -257,10 +257,7 @@ def memory_report(problem: dict) -> dict:
     for mg in (problem.get("velocity_mg"), problem.get("mass_mg")):
         if mg is None:
             continue
-        plan = mg.plan
-        mg_bytes += plan.child_mats.nbytes
-        mg_bytes += sum(t.nbytes for t in plan.child_cells if t is not None)
-        mg_bytes += sum(m.nbytes for m in plan.mult)
+        mg_bytes += sum(m.nbytes for m in mg.plan.matrices if m is not None)
         mg_bytes += sum(lv.diag.nbytes for lv in mg.levels)
     for vals in system.visc.values:
         if vals is not None:
@@ -301,8 +298,8 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
     t0 = time.perf_counter()
     mesh = build_hierarchy(cfg.dim, cfg.levels + 1)
     dofmap = distribute_dofs(mesh)
-    q2_plan = build_transfer_plan(mesh, dofmap, 2)
-    q1_plan = build_transfer_plan(mesh, dofmap, 1) if cfg.schur == "vcycle" else None
+    q2_plan = build_transfer_plan(mesh, 2)
+    q1_plan = build_transfer_plan(mesh, 1) if cfg.schur == "vcycle" else None
     t_setup = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -386,6 +383,8 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
         claimed = cfg.reduction
         if record.reduction_achieved > 2.0 * claimed:
             record.flag = (record.flag + ";residual_check_failed").lstrip(";")
+    if any(mg is not None and mg.coarse_unconverged for mg in (velocity_mg, mass_mg)):
+        record.flag = (record.flag + ";coarse_solve_unconverged").lstrip(";")
 
     record.timings = {
         "setup_seconds": t_setup,
@@ -406,7 +405,7 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
 
 def _config_echo(cfg: RunConfig) -> dict:
     d = dataclasses.asdict(cfg)
-    d["package_version"] = PACKAGE_VERSION
+    d["package_version"] = __version__
     return d
 
 

@@ -15,14 +15,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class CellId:
-    """A cell addressed by level and per-axis lattice coordinates."""
-
-    level: int
-    lattice: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class MeshHierarchy:
     dim: int
     n_levels: int
@@ -73,37 +65,3 @@ def build_hierarchy(dim: int, n_levels: int) -> MeshHierarchy:
     if not isinstance(n_levels, (int, np.integer)) or n_levels < 1:
         raise ValueError(f"n_levels must be a positive integer, got {n_levels}")
     return MeshHierarchy(dim=int(dim), n_levels=int(n_levels))
-
-
-def children(mesh: MeshHierarchy, cell: CellId) -> list[CellId]:
-    """The 2**dim children obtained by bisecting ``cell`` once.
-
-    Child lattices double the parent lattice and add a 0/1 offset per
-    axis; only defined below the finest level.
-    """
-    if cell.level >= mesh.active_level:
-        raise ValueError("cells on the finest level have no children")
-    mesh._check_level(cell.level)
-    offs = mesh_child_offsets(mesh.dim)
-    base = 2 * np.asarray(cell.lattice)
-    return [CellId(cell.level + 1, tuple(int(v) for v in base + o)) for o in offs]
-
-
-def parent(mesh: MeshHierarchy, cell: CellId) -> CellId:
-    if cell.level == 0:
-        raise ValueError("the root cell has no parent")
-    return CellId(cell.level - 1, tuple(int(v) // 2 for v in cell.lattice))
-
-
-def cell_center(mesh: MeshHierarchy, cell: CellId) -> np.ndarray:
-    mesh._check_level(cell.level)
-    lat = np.asarray(cell.lattice, dtype=float)
-    if np.any(lat < 0) or np.any(lat >= 2**cell.level):
-        raise ValueError(f"invalid lattice {cell.lattice} on level {cell.level}")
-    return (lat + 0.5) * mesh.h(cell.level)
-
-
-def mesh_child_offsets(dim: int) -> np.ndarray:
-    """0/1 offset tuples of the children within a parent, x fastest."""
-    k = np.arange(2**dim)
-    return np.stack([(k >> a) & 1 for a in range(dim)], axis=1)

@@ -2,8 +2,9 @@
 
 Transfers use the finite element embedding: a coarse function is also a
 fine function, so prolongation interpolates coarse coefficients at the
-fine support points (cell-local matrices, shared dofs reconciled by
-dividing by their cell multiplicity) and restriction is the exact
+fine support points.  On the uniform lattice the Q1/Q2 spaces are tensor
+products, so prolongation is the Kronecker product of one 1D embedding
+matrix per axis, applied axis by axis, and restriction is its exact
 transpose.  The smoother is a fixed-degree Chebyshev polynomial in the
 Jacobi-preconditioned operator, targeting the upper part of the spectrum
 estimated by a short Lanczos run.  One pre- and one post-smoothing
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import krylov
-from .fem import DofMap, q_basis, lagrange_value_1d, local_lattice
-from .mesh import MeshHierarchy, mesh_child_offsets
+from .fem import lagrange_value_1d, q_basis
+from .mesh import MeshHierarchy
 from .operators import StokesSystem, apply_A, apply_Mp, compute_diagonal
 
 
@@ -126,17 +127,19 @@ def chebyshev_smooth(params: ChebyshevParams, op, diag, b, x0=None, lam_max=None
 # Inter-level transfer
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransferPlan:
-    """Embedding tables between consecutive levels for one scalar space."""
+    """1D embedding matrices between consecutive levels of one scalar space.
 
-    degree: int
+    ``matrices[l]`` maps the coarse nodes of one axis on level l-1 to the
+    fine nodes on level l, shape (k*2**l + 1, k*2**(l-1) + 1) for degree k;
+    level 0 has none.  The scalar dofs are a tensor lattice with x fastest,
+    so the dim-dimensional embedding is the Kronecker product of the axis
+    matrices.
+    """
+
     dim: int
-    child_mats: np.ndarray  # (2**dim, n_loc, n_loc)
-    child_cells: list  # per fine level: (2**dim, n_coarse_cells) fine cell ids
-    mult: list  # per level: cell multiplicity of every scalar dof
-    maps: list  # per level: the scalar cell->dof map
-    n_scalar: list
+    matrices: list
 
 
 def _embedding_1d(degree: int) -> np.ndarray:
@@ -151,85 +154,54 @@ def _embedding_1d(degree: int) -> np.ndarray:
     return out
 
 
-def build_transfer_plan(mesh: MeshHierarchy, dofmap: DofMap, degree: int) -> TransferPlan:
-    dim = mesh.dim
+def build_transfer_plan(mesh: MeshHierarchy, degree: int) -> TransferPlan:
     e1 = _embedding_1d(degree)
-    offs = mesh_child_offsets(dim)
-    lidx = local_lattice(degree, dim)
-    n_loc = len(lidx)
-    mats = np.ones((len(offs), n_loc, n_loc))
-    for t, off in enumerate(offs):
-        for a in range(dim):
-            mats[t] *= e1[off[a]][np.ix_(lidx[:, a], lidx[:, a])]
-
-    child_cells: list = [None]
+    k = degree
+    matrices: list = [None]
     for level in range(1, mesh.n_levels):
-        lat = mesh.cell_lattices(level)
         nc = mesh.cells_per_axis(level - 1)
-        parent_idx = np.zeros(len(lat), dtype=np.int64)
-        for a in range(dim):
-            parent_idx += (lat[:, a] // 2) * nc**a
-        table = np.empty((len(offs), mesh.n_cells(level - 1)), dtype=np.int64)
-        for t, off in enumerate(offs):
-            sel = np.all(lat % 2 == off[None, :], axis=1)
-            fine_ids = np.nonzero(sel)[0]
-            table[t] = fine_ids[np.argsort(parent_idx[fine_ids])]
-        child_cells.append(table)
+        mat = np.zeros((2 * k * nc + 1, k * nc + 1))
+        for c in range(nc):
+            for t in range(2):
+                # a node shared by neighbouring cells gets the same value from both
+                f = k * (2 * c + t)
+                mat[f : f + k + 1, k * c : k * c + k + 1] = e1[t]
+        matrices.append(mat)
+    return TransferPlan(dim=mesh.dim, matrices=matrices)
 
-    maps = []
-    mult = []
-    n_scalar = []
-    for ld in dofmap.levels:
-        cmap = ld.q2_map if degree == 2 else ld.q1_map
-        ns = ld.n_scalar if degree == 2 else ld.n_p
-        maps.append(cmap)
-        n_scalar.append(ns)
-        mult.append(np.bincount(cmap.ravel(), minlength=ns).astype(float))
-    return TransferPlan(
-        degree=degree,
-        dim=dim,
-        child_mats=mats,
-        child_cells=child_cells,
-        mult=mult,
-        maps=maps,
-        n_scalar=n_scalar,
-    )
+
+def _per_axis(plan: TransferPlan, x, mat: np.ndarray) -> np.ndarray:
+    """Right-multiply every spatial axis of the scalar field(s) ``x`` by
+    ``mat``; ``x`` is (n,) or (components, n) with n = mat.shape[0]**dim."""
+    m = mat.shape[0]
+    if x.shape[-1] != m**plan.dim:
+        raise ValueError(f"vector of length {x.shape[-1]} is not a {m}**{plan.dim} lattice")
+    lead = x.shape[:-1]
+    x = x.reshape(lead + (m,) * plan.dim)
+    # the last axis is x; each pass moves the transformed axis to the front
+    # of the lattice, so after dim passes the axes are back in order
+    for _ in range(plan.dim):
+        x = np.moveaxis(x @ mat, -1, len(lead))
+    return x.reshape(lead + (-1,))
 
 
 def prolongate(plan: TransferPlan, level: int, v_coarse, constrained_fine=None):
     """Coarse-to-fine embedding of a scalar field, level-1 -> level.
+
+    ``v_coarse`` holds one field of shape (n,) or a stack (components, n).
     Entries listed in ``constrained_fine`` are zeroed afterwards."""
-    if v_coarse.size != plan.n_scalar[level - 1]:
-        raise ValueError("coarse vector does not match level - 1")
-    cl = v_coarse[plan.maps[level - 1]]
-    fl = np.empty((len(plan.maps[level]), plan.child_mats.shape[1]))
-    for t in range(len(plan.child_mats)):
-        fl[plan.child_cells[level][t]] = cl @ plan.child_mats[t].T
-    out = np.bincount(
-        plan.maps[level].ravel(), weights=fl.ravel(), minlength=plan.n_scalar[level]
-    )
-    out /= plan.mult[level]
-    if constrained_fine is not None and constrained_fine.size:
-        out[constrained_fine] = 0.0
+    out = _per_axis(plan, v_coarse, plan.matrices[level].T)
+    if constrained_fine is not None:
+        out[..., constrained_fine] = 0.0
     return out
 
 
 def restrict(plan: TransferPlan, level: int, r_fine, constrained_fine=None):
     """Exact transpose of :func:`prolongate`, level -> level-1."""
-    if r_fine.size != plan.n_scalar[level]:
-        raise ValueError("fine vector does not match level")
-    w = r_fine
-    if constrained_fine is not None and constrained_fine.size:
-        w = r_fine.copy()
-        w[constrained_fine] = 0.0
-    w = w / plan.mult[level]
-    wl = w[plan.maps[level]]
-    acc = np.zeros((len(plan.maps[level - 1]), plan.child_mats.shape[1]))
-    for t in range(len(plan.child_mats)):
-        acc += wl[plan.child_cells[level][t]] @ plan.child_mats[t]
-    return np.bincount(
-        plan.maps[level - 1].ravel(), weights=acc.ravel(), minlength=plan.n_scalar[level - 1]
-    )
+    if constrained_fine is not None:
+        r_fine = r_fine.copy()
+        r_fine[..., constrained_fine] = 0.0
+    return _per_axis(plan, r_fine, plan.matrices[level])
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +215,6 @@ class MGLevel:
     lam_max: float
     scalar_constrained: np.ndarray  # indices in the scalar space (may be empty)
     components: int
-
-    @property
-    def n(self) -> int:
-        return self.diag.size
-
-    def constrained_full(self) -> np.ndarray:
-        if not self.scalar_constrained.size or self.components == 1:
-            return self.scalar_constrained
-        ns = self.n // self.components
-        offs = np.arange(self.components) * ns
-        return (self.scalar_constrained[None, :] + offs[:, None]).ravel()
 
 
 class Multigrid:
@@ -274,23 +235,13 @@ class Multigrid:
             reduction_target=coarse_tol, max_iters=coarse_max_iters, restart_length=coarse_max_iters
         )
         self.n_vcycles = 0
-
-    def _transfer(self, level: int, vec: np.ndarray, down: bool) -> np.ndarray:
-        lv = self.levels[level]
-        comp = lv.components
-        cons = lv.scalar_constrained if lv.scalar_constrained.size else None
-        if down:
-            ns_f = self.plan.n_scalar[level]
-            parts = vec.reshape(comp, ns_f)
-            return np.concatenate([restrict(self.plan, level, p, cons) for p in parts])
-        ns_c = self.plan.n_scalar[level - 1]
-        parts = vec.reshape(comp, ns_c)
-        return np.concatenate([prolongate(self.plan, level, p, cons) for p in parts])
+        self.coarse_unconverged = 0
 
     def _coarse_solve(self, b: np.ndarray) -> np.ndarray:
         lv = self.levels[0]
         pc = lambda r: chebyshev_smooth(self.params, lv.op, lv.diag, r, lam_max=lv.lam_max)
-        x, _ = krylov.cg(lv.op, pc, b, self.coarse_control)
+        x, stats = krylov.cg(lv.op, pc, b, self.coarse_control)
+        self.coarse_unconverged += not stats.converged
         return x
 
     def vcycle(self, b: np.ndarray, level: int | None = None) -> np.ndarray:
@@ -300,21 +251,15 @@ class Multigrid:
         if level == 0:
             return self._coarse_solve(b)
         lv = self.levels[level]
+        comp = lv.components
         x = chebyshev_smooth(self.params, lv.op, lv.diag, b, lam_max=lv.lam_max)
-        r = b - lv.op(x)
-        cons = lv.constrained_full()
-        if cons.size:
-            r[cons] = 0.0
-        rc = self._transfer(level, r, down=True)
-        cons_c = self.levels[level - 1].constrained_full()
-        if cons_c.size:
-            rc[cons_c] = 0.0
-        x += self._transfer(level, self.vcycle(rc, level - 1), down=False)
+        r = (b - lv.op(x)).reshape(comp, -1)
+        r[:, lv.scalar_constrained] = 0.0
+        rc = restrict(self.plan, level, r)
+        rc[:, self.levels[level - 1].scalar_constrained] = 0.0
+        ec = self.vcycle(rc.reshape(-1), level - 1)
+        x += prolongate(self.plan, level, ec.reshape(comp, -1), lv.scalar_constrained).reshape(-1)
         return chebyshev_smooth(self.params, lv.op, lv.diag, b, x0=x, lam_max=lv.lam_max)
-
-
-def vcycle(mg: Multigrid, b: np.ndarray, level: int | None = None) -> np.ndarray:
-    return mg.vcycle(b, level)
 
 
 def build_velocity_multigrid(
@@ -325,7 +270,7 @@ def build_velocity_multigrid(
     """GMG hierarchy for the viscous block, smoothing the fully coupled
     strain-rate operator on every level."""
     params = params or ChebyshevParams()
-    plan = plan or build_transfer_plan(system.mesh, system.dofmap, 2)
+    plan = plan or build_transfer_plan(system.mesh, 2)
     levels = []
     for ctx in system.contexts:
         op = lambda u, ctx=ctx: apply_A(ctx, u)
@@ -350,7 +295,7 @@ def build_mass_multigrid(
 ) -> Multigrid:
     """GMG hierarchy for the viscosity-weighted pressure mass matrix."""
     params = params or ChebyshevParams()
-    plan = plan or build_transfer_plan(system.mesh, system.dofmap, 1)
+    plan = plan or build_transfer_plan(system.mesh, 1)
     empty = np.empty(0, dtype=np.int64)
     levels = []
     for ctx in system.contexts:

@@ -125,7 +125,7 @@ class StokesPreconditioner:
             self.velocity_mg = None
             amat = materialize(lambda u: apply_A(ctx, u), ctx.n_u)
             self._a_chol = np.linalg.cholesky(amat)
-            self._a_solve = self._dense_a_solve
+            self._a_solve = self._solve_dense_a
 
         self.mass_mg = None
         if cfg.s_inv == "vcycle_mass":
@@ -155,9 +155,6 @@ class StokesPreconditioner:
     def _solve_dense_a(self, rhs):
         y = np.linalg.solve(self._a_chol, rhs)
         return np.linalg.solve(self._a_chol.T, y)
-
-    def _dense_a_solve(self, r):
-        return self._solve_dense_a(r)
 
     def schur_apply(self, r_p: np.ndarray) -> np.ndarray:
         """Approximate application of S^-1 to a pressure residual."""
@@ -201,11 +198,3 @@ class StokesPreconditioner:
 
     def apply_flat(self, r: np.ndarray) -> np.ndarray:
         return self.apply(BlockVector.from_flat(r, self.system.n_u)).flat()
-
-
-def apply_P(precond: StokesPreconditioner, r: BlockVector) -> BlockVector:
-    return precond.apply(r)
-
-
-def schur_apply(precond: StokesPreconditioner, r_p: np.ndarray) -> np.ndarray:
-    return precond.schur_apply(r_p)

@@ -239,3 +239,19 @@ def test_cli_threads_flag_overrides_preset_environment(tmp_path, schema, flag):
     assert data["config"]["threads"] == 3
     assert data["environment"]["threads"] == {var: "3" for var in THREAD_VARS}
     assert "environment" not in CSV_COLUMNS
+
+
+def test_unconverged_coarse_solve_flags_the_run(monkeypatch):
+    from gmgstokes import multigrid
+
+    cfg = dict(solver="idr", schur="vcycle")
+    assert "coarse_solve_unconverged" not in run_benchmark(small_cfg(**cfg)).flag
+    build = multigrid.build_mass_multigrid
+
+    def one_coarse_iteration(*args, **kwargs):
+        mg = build(*args, **kwargs)
+        return multigrid.Multigrid(mg.levels, mg.plan, mg.params, coarse_max_iters=1)
+
+    monkeypatch.setattr(multigrid, "build_mass_multigrid", one_coarse_iteration)
+    rec = run_benchmark(small_cfg(**cfg))
+    assert "coarse_solve_unconverged" in rec.flag.split(";")

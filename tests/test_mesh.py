@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmgstokes.mesh import (
-    CellId,
-    build_hierarchy,
-    cell_center,
-    children,
-    mesh_child_offsets,
-    parent,
-)
+from gmgstokes.mesh import build_hierarchy
 
 
 def test_single_level_base_case():
@@ -40,48 +33,14 @@ def test_build_rejects_bad_arguments(dim, n_levels):
         build_hierarchy(dim, n_levels)
 
 
-def test_children_of_2d_root():
-    mesh = build_hierarchy(2, 2)
-    kids = children(mesh, CellId(0, (0, 0)))
-    assert sorted(k.lattice for k in kids) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert all(k.level == 1 for k in kids)
-
-
-def test_children_of_3d_root():
-    mesh = build_hierarchy(3, 2)
-    assert len(children(mesh, CellId(0, (0, 0, 0)))) == 8
-
-
-def test_children_lattice_doubling():
-    mesh = build_hierarchy(2, 3)
-    kids = children(mesh, CellId(1, (1, 0)))
-    assert sorted(k.lattice for k in kids) == [(2, 0), (2, 1), (3, 0), (3, 1)]
-    # every child's vertices are contained in the parent cell
-    h_parent, h_child = mesh.h(1), mesh.h(2)
-    for k in kids:
-        lo = np.array(k.lattice) * h_child
-        hi = lo + h_child
-        assert np.all(lo >= np.array((1, 0)) * h_parent - 1e-15)
-        assert np.all(hi <= (np.array((1, 0)) + 1) * h_parent + 1e-15)
-
-
-def test_children_rejected_on_finest_level():
-    mesh = build_hierarchy(2, 2)
-    with pytest.raises(ValueError):
-        children(mesh, CellId(1, (0, 0)))
-
-
-def test_parent_child_round_trip():
-    mesh = build_hierarchy(3, 3)
-    cell = CellId(1, (1, 0, 1))
-    for k in children(mesh, cell):
-        assert parent(mesh, k) == cell
-
-
 def test_cell_centers():
-    assert np.allclose(cell_center(build_hierarchy(3, 1), CellId(0, (0, 0, 0))), [0.5, 0.5, 0.5])
-    assert np.allclose(cell_center(build_hierarchy(2, 2), CellId(1, (1, 1))), [0.75, 0.75])
-    assert np.allclose(cell_center(build_hierarchy(2, 3), CellId(2, (3, 0))), [0.875, 0.125])
+    for dim, n_levels, level, lattice, center in (
+        (3, 1, 0, (0, 0, 0), [0.5, 0.5, 0.5]),
+        (2, 2, 1, (1, 1), [0.75, 0.75]),
+        (2, 3, 2, (3, 0), [0.875, 0.125]),
+    ):
+        mesh = build_hierarchy(dim, n_levels)
+        assert np.allclose(mesh.cell_centers(level)[mesh.cell_index(lattice, level)], center)
 
 
 @given(dim=st.sampled_from([2, 3]), n_levels=st.integers(1, 4))
@@ -96,10 +55,3 @@ def test_volume_conservation_and_cover(dim, n_levels):
         assert np.all(centers > 0.0) and np.all(centers < 1.0)
         seen = {tuple(c) for c in centers}
         assert len(seen) == mesh.n_cells(level)
-
-
-def test_child_offsets_enumerate_all_corners():
-    assert sorted(map(tuple, mesh_child_offsets(3))) == [
-        (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
-        (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1),
-    ]

@@ -3,7 +3,7 @@ import pytest
 
 import oracle
 from conftest import constant_viscosity, make_system
-from gmgstokes.fem import evaluate_scalar, make_gauss_rule
+from gmgstokes.fem import distribute_dofs, evaluate_scalar, interpolate_scalar, make_gauss_rule
 from gmgstokes.krylov import SolveControl, cg
 from gmgstokes.mesh import build_hierarchy
 from gmgstokes.multigrid import (
@@ -15,79 +15,102 @@ from gmgstokes.multigrid import (
     estimate_lambda_max,
     prolongate,
     restrict,
-    vcycle,
 )
 from gmgstokes.operators import apply_A
 from gmgstokes.viscosity import average_active_viscosity, restrict_viscosity, sinker_config
 
 
-@pytest.fixture
-def plan2():
-    system = make_system(2, 3)
-    return system, build_transfer_plan(system.mesh, system.dofmap, 2)
+def transfer_cases():
+    """(dim, degree, plan, dofs, scalar sizes per level) for both dimensions
+    and both degrees on a 3-level hierarchy."""
+    for dim in (2, 3):
+        mesh = build_hierarchy(dim, 3)
+        dofs = distribute_dofs(mesh)
+        for degree in (1, 2):
+            sizes = [ld.n_scalar if degree == 2 else ld.n_p for ld in dofs.levels]
+            yield dim, degree, build_transfer_plan(mesh, degree), dofs, sizes
 
 
-def test_prolongation_preserves_constants(plan2):
-    system, plan = plan2
-    for level in (1, 2):
-        out = prolongate(plan, level, np.ones(plan.n_scalar[level - 1]))
-        assert np.abs(out - 1.0).max() < 1e-14
+def constrained(dofs, degree, level):
+    # only the Q2 velocity space carries Dirichlet constraints
+    return dofs.levels[level].dirichlet_scalar if degree == 2 else None
 
 
-def test_prolongation_reproduces_linears(plan2):
-    system, plan = plan2
-    from gmgstokes.fem import interpolate_scalar
-
-    lin = lambda pts: 0.3 + 1.7 * pts[:, 0] - 0.9 * pts[:, 1]
-    coarse = interpolate_scalar(lin, 2, 0, 2)
-    fine = prolongate(plan, 1, coarse)
-    expected = interpolate_scalar(lin, 2, 1, 2)
-    assert np.abs(fine - expected).max() < 1e-13
+def test_prolongation_preserves_constants():
+    for dim, degree, plan, dofs, n in transfer_cases():
+        for level in (1, 2):
+            out = prolongate(plan, level, np.ones(n[level - 1]))
+            assert np.abs(out - 1.0).max() < 1e-14, (dim, degree, level)
 
 
-def test_prolongation_pointwise_embedding_oracle(plan2):
+def test_prolongation_reproduces_linears():
+    for dim, degree, plan, dofs, n in transfer_cases():
+        lin = lambda pts: 0.3 + pts @ np.array([1.7, -0.9, 0.4][:dim])
+        for level in (1, 2):
+            coarse = interpolate_scalar(lin, dim, level - 1, degree)
+            fine = prolongate(plan, level, coarse)
+            expected = interpolate_scalar(lin, dim, level, degree)
+            assert np.abs(fine - expected).max() < 1e-13, (dim, degree, level)
+
+
+def test_prolongation_pointwise_embedding_oracle():
     # a prolongated coarse function evaluates identically at 50 random points
-    system, plan = plan2
     rng = np.random.default_rng(0)
-    coarse = rng.standard_normal(plan.n_scalar[1])
-    coarse[system.dofmap.levels[1].dirichlet_scalar] = 0.0
-    fine = prolongate(plan, 2, coarse, system.dofmap.levels[2].dirichlet_scalar)
-    pts = rng.random((50, 2))
-    a = evaluate_scalar(coarse, system.dofmap.levels[1], 2, 2, pts)
-    b = evaluate_scalar(fine, system.dofmap.levels[2], 2, 2, pts)
-    assert np.abs(a - b).max() < 1e-12
+    for dim, degree, plan, dofs, n in transfer_cases():
+        for level in (1, 2):
+            coarse = rng.standard_normal(n[level - 1])
+            cons_c = constrained(dofs, degree, level - 1)
+            if cons_c is not None:
+                coarse[cons_c] = 0.0
+            fine = prolongate(plan, level, coarse, constrained(dofs, degree, level))
+            pts = rng.random((50, dim))
+            a = evaluate_scalar(coarse, dofs.levels[level - 1], dim, degree, pts)
+            b = evaluate_scalar(fine, dofs.levels[level], dim, degree, pts)
+            assert np.abs(a - b).max() < 1e-12, (dim, degree, level)
 
 
-def test_restriction_is_exact_transpose(plan2):
-    system, plan = plan2
+def test_restriction_is_exact_transpose():
     rng = np.random.default_rng(1)
-    for level in (1, 2):
-        cons = system.dofmap.levels[level].dirichlet_scalar
-        v = rng.standard_normal(plan.n_scalar[level - 1])
-        w = rng.standard_normal(plan.n_scalar[level])
-        lhs = prolongate(plan, level, v, cons) @ w
-        rhs = v @ restrict(plan, level, w, cons)
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+    for dim, degree, plan, dofs, n in transfer_cases():
+        for level in (1, 2):
+            cons = constrained(dofs, degree, level)
+            v = rng.standard_normal(n[level - 1])
+            w = rng.standard_normal(n[level])
+            lhs = prolongate(plan, level, v, cons) @ w
+            rhs = v @ restrict(plan, level, w, cons)
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0), (dim, degree, level)
 
 
-def test_restriction_zero_and_column_sums(plan2):
-    system, plan = plan2
-    assert np.all(restrict(plan, 1, np.zeros(plan.n_scalar[1])) == 0.0)
+def test_transfer_stacked_components_match_single():
+    rng = np.random.default_rng(10)
+    for dim, degree, plan, dofs, n in transfer_cases():
+        for level in (1, 2):
+            cons = constrained(dofs, degree, level)
+            v = rng.standard_normal((dim, n[level - 1]))
+            w = rng.standard_normal((dim, n[level]))
+            got_p = prolongate(plan, level, v, cons)
+            got_r = restrict(plan, level, w, cons)
+            for c in range(dim):
+                assert np.array_equal(got_p[c], prolongate(plan, level, v[c], cons))
+                assert np.array_equal(got_r[c], restrict(plan, level, w[c], cons))
+
+
+def test_restriction_zero_and_column_sums():
     # restriction of the constant-one dual vector preserves the total:
     # column sums of the explicit prolongation matrix
     from gmgstokes.precond import materialize
 
-    pmat = materialize(
-        lambda v: prolongate(plan, 1, v), plan.n_scalar[0], plan.n_scalar[1]
-    )
-    got = restrict(plan, 1, np.ones(plan.n_scalar[1]))
-    assert np.allclose(got, pmat.sum(axis=0), atol=1e-13)
+    for dim, degree, plan, dofs, n in transfer_cases():
+        assert np.all(restrict(plan, 1, np.zeros(n[1])) == 0.0)
+        pmat = materialize(lambda v: prolongate(plan, 1, v), n[0], n[1])
+        got = restrict(plan, 1, np.ones(n[1]))
+        assert np.allclose(got, pmat.sum(axis=0), atol=1e-13), (dim, degree)
 
 
 def test_q1_transfer_constants():
-    system = make_system(2, 2)
-    plan = build_transfer_plan(system.mesh, system.dofmap, 1)
-    out = prolongate(plan, 1, np.ones(plan.n_scalar[0]))
+    mesh = build_hierarchy(2, 2)
+    plan = build_transfer_plan(mesh, 1)
+    out = prolongate(plan, 1, np.ones(distribute_dofs(mesh).levels[0].n_p))
     assert np.abs(out - 1.0).max() < 1e-14
 
 
@@ -219,14 +242,6 @@ def test_vcycle_richardson_contraction():
         err = new_err
 
 
-def test_vcycle_free_function_alias():
-    system = make_system(2, 2)
-    mg = build_velocity_multigrid(system)
-    b = np.random.default_rng(6).standard_normal(system.n_u)
-    b[system.dofmap.active.velocity_constrained(2)] = 0.0
-    assert np.array_equal(vcycle(mg, b), mg.vcycle(b))
-
-
 def test_h_robustness_constant_viscosity():
     # the GMG hallmark: CG iteration counts stay flat under refinement
     counts = []
@@ -284,9 +299,9 @@ def test_mass_multigrid_spd_and_linearity():
 
 
 def test_transfer_size_mismatch_rejected():
-    system = make_system(2, 2)
-    plan = build_transfer_plan(system.mesh, system.dofmap, 2)
-    with pytest.raises(ValueError):
-        prolongate(plan, 1, np.zeros(plan.n_scalar[1]))
-    with pytest.raises(ValueError):
-        restrict(plan, 1, np.zeros(plan.n_scalar[0]))
+    for dim, degree, plan, dofs, n in transfer_cases():
+        for level in (1, 2):
+            with pytest.raises(ValueError):
+                prolongate(plan, level, np.zeros(n[level]))
+            with pytest.raises(ValueError):
+                restrict(plan, level, np.zeros(n[level - 1]))

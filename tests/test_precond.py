@@ -12,10 +12,8 @@ from gmgstokes.precond import (
     ConfigError,
     PrecondConfig,
     StokesPreconditioner,
-    apply_P,
     materialize,
     normalize_pressure,
-    schur_apply,
 )
 from gmgstokes.viscosity import average_active_viscosity, restrict_viscosity, sinker_config
 
@@ -61,7 +59,7 @@ def test_exact_preconditioner_krylov_rank_two(exact_setup):
 
 def test_apply_p_zero_maps_to_zero(exact_setup):
     system, pc = exact_setup
-    out = apply_P(pc, BlockVector.zeros(system.n_u, system.n_p))
+    out = pc.apply(BlockVector.zeros(system.n_u, system.n_p))
     assert np.all(out.flat() == 0.0)
 
 
@@ -83,7 +81,7 @@ def test_schur_cg_mass_converges_in_one_to_five_iterations():
     rng = np.random.default_rng(3)
     for _ in range(5):
         before = pc.inner_iterations
-        schur_apply(pc, rng.standard_normal(system.n_p))
+        pc.schur_apply(rng.standard_normal(system.n_p))
         its = pc.inner_iterations - before
         assert 1 <= its <= 5
     assert pc.inner_failures == 0
@@ -102,7 +100,7 @@ def test_schur_diag_mass_relative_error_below_one():
     for _ in range(5):
         r = rng.standard_normal(system.n_p)
         exact = np.linalg.solve(mp, r)
-        got = schur_apply(pc, r)
+        got = pc.schur_apply(r)
         assert np.linalg.norm(got - exact) / np.linalg.norm(exact) < 1.0
 
 
@@ -112,11 +110,11 @@ def test_schur_vcycle_mass_linear_and_spd():
     rng = np.random.default_rng(6)
     r1 = rng.standard_normal(system.n_p)
     r2 = rng.standard_normal(system.n_p)
-    lin = schur_apply(pc, r1 + r2) - schur_apply(pc, r1) - schur_apply(pc, r2)
-    assert np.linalg.norm(lin) <= 1e-12 * np.linalg.norm(schur_apply(pc, r1))
-    sym = schur_apply(pc, r1) @ r2 - r1 @ schur_apply(pc, r2)
-    assert abs(sym) <= 1e-10 * abs(schur_apply(pc, r1) @ r2)
-    assert schur_apply(pc, r1) @ r1 > 0.0
+    lin = pc.schur_apply(r1 + r2) - pc.schur_apply(r1) - pc.schur_apply(r2)
+    assert np.linalg.norm(lin) <= 1e-12 * np.linalg.norm(pc.schur_apply(r1))
+    sym = pc.schur_apply(r1) @ r2 - r1 @ pc.schur_apply(r2)
+    assert abs(sym) <= 1e-10 * abs(pc.schur_apply(r1) @ r2)
+    assert pc.schur_apply(r1) @ r1 > 0.0
 
 
 def test_normalize_pressure_properties():
