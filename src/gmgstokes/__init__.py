@@ -15,7 +15,6 @@ _EXPORTS = {
         "DofMap",
         "QuadratureRule",
         "ScalarBasis",
-        "apply_dirichlet",
         "distribute_dofs",
         "make_gauss_rule",
         "shape_eval",
@@ -47,7 +46,6 @@ _EXPORTS = {
         "LevelOperatorContext",
         "StokesSystem",
         "apply_A",
-        "apply_A_partial",
         "apply_B",
         "apply_Bt",
         "apply_Mp",

@@ -25,55 +25,18 @@ from dataclasses import dataclass, field
 from . import __version__
 
 SCHUR_MAP = {"cg": "cg_mass", "vcycle": "vcycle_mass", "diag": "diag_mass"}
+# the RunConfig fields limited to a fixed set of values, and those values
+CHOICES = {
+    "dim": (2, 3),
+    "solver": ("gmres", "fgmres", "idr"),
+    "precond_shape": ("triangular", "diagonal"),
+    "schur": tuple(SCHUR_MAP),
+}
 # application-owned full-length vectors held by the driver during a solve:
 # solution, right-hand side, true-residual check, pressure-normalization scratch
 APPLICATION_VECTORS = 4
 # environment variables that size the BLAS/OpenMP pools when numpy loads
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-CSV_COLUMNS = [
-    "dim",
-    "levels",
-    "sinkers",
-    "dynamic_ratio",
-    "delta",
-    "omega",
-    "beta",
-    "seed",
-    "solver",
-    "idr_s",
-    "precond_shape",
-    "schur",
-    "restart",
-    "reduction",
-    "max_iters",
-    "threads",
-    "n_u",
-    "n_p",
-    "n_dofs",
-    "iterations",
-    "converged",
-    "flag",
-    "precond_applications",
-    "matvec_count",
-    "peak_vector_count",
-    "inner_schur_iterations",
-    "initial_residual",
-    "final_residual",
-    "true_final_residual",
-    "reduction_achieved",
-    "mesh_bytes",
-    "dofmap_bytes",
-    "constraint_bytes",
-    "solver_vector_bytes",
-    "application_vector_bytes",
-    "multigrid_aux_bytes",
-    "vcycle_count",
-    "model_flops_per_vcycle",
-    "model_flops_per_dof",
-    "error",
-    "package_version",
-]
 
 
 @dataclass
@@ -97,18 +60,21 @@ class RunConfig:
     threads: int = 1
 
     def validate(self) -> None:
-        if self.dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
-        if self.solver not in ("gmres", "fgmres", "idr"):
-            raise ValueError(f"unknown solver {self.solver!r}")
-        if self.schur not in SCHUR_MAP:
-            raise ValueError(f"unknown schur option {self.schur!r}")
-        if self.precond_shape not in ("triangular", "diagonal"):
-            raise ValueError(f"unknown precond shape {self.precond_shape!r}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+
+
+# the type of every RunConfig field that a flag or a config entry sets;
+# ``centers`` is a list with its own syntax
+SETTING_TYPES = {
+    f.name: type(f.default) for f in dataclasses.fields(RunConfig) if f.name != "centers"
+}
 
 
 @dataclass
@@ -135,42 +101,36 @@ class RunRecord:
     model_flops_per_vcycle: float = 0.0
     model_flops_per_dof: float = 0.0
     error: str = ""
-    environment: dict = field(default_factory=dict)  # JSON only, not a CSV column
+    environment: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     def csv_row(self) -> list:
-        cfg = self.config
-        vals = {
-            **{k: cfg.get(k, "") for k in cfg},
-            "n_u": self.n_u,
-            "n_p": self.n_p,
-            "n_dofs": self.n_dofs,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "flag": self.flag,
-            "precond_applications": self.precond_applications,
-            "matvec_count": self.matvec_count,
-            "peak_vector_count": self.peak_vector_count,
-            "inner_schur_iterations": self.inner_schur_iterations,
-            "initial_residual": self.initial_residual,
-            "final_residual": self.final_residual,
-            "true_final_residual": self.true_final_residual,
-            "reduction_achieved": self.reduction_achieved,
-            "mesh_bytes": self.memory.get("mesh_bytes", 0),
-            "dofmap_bytes": self.memory.get("dofmap_bytes", 0),
-            "constraint_bytes": self.memory.get("constraint_bytes", 0),
-            "solver_vector_bytes": self.memory.get("solver_vector_bytes", 0),
-            "application_vector_bytes": self.memory.get("application_vector_bytes", 0),
-            "multigrid_aux_bytes": self.memory.get("multigrid_aux_bytes", 0),
-            "vcycle_count": self.vcycle_count,
-            "model_flops_per_vcycle": self.model_flops_per_vcycle,
-            "model_flops_per_dof": self.model_flops_per_dof,
-            "error": self.error,
-            "package_version": __version__,
-        }
+        memory = {k: self.memory.get(k, 0) for k in MEMORY_COLUMNS}
+        vals = {**self.config, **vars(self), **memory, "package_version": __version__}
         return [vals.get(c, "") for c in CSV_COLUMNS]
+
+
+# The CSV columns are the run settings, then the record fields with
+# ``memory`` spread over its byte counts; lists and wall-clock data stay
+# in the JSON record, so CSV output is deterministic.
+MEMORY_COLUMNS = (
+    "mesh_bytes",
+    "dofmap_bytes",
+    "constraint_bytes",
+    "solver_vector_bytes",
+    "application_vector_bytes",
+    "multigrid_aux_bytes",
+)
+JSON_ONLY = ("centers", "residual_history", "timings", "environment")
+_SPREAD = {"config": [f.name for f in dataclasses.fields(RunConfig)], "memory": MEMORY_COLUMNS}
+CSV_COLUMNS = [
+    name
+    for f in dataclasses.fields(RunRecord)
+    for name in _SPREAD.get(f.name, (f.name,))
+    if name not in JSON_ONLY
+] + ["package_version"]
 
 
 def records_to_csv(records) -> str:
@@ -181,9 +141,9 @@ def records_to_csv(records) -> str:
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key=value file; '#' starts a comment.  Keys mirror the CLI
-    flags plus the viscosity keys n_sinkers, dynamic_ratio, delta, omega,
-    beta, seed, and an optional centers list 'x,y[,z];x,y[,z];...'."""
+    """Flat key=value file; '#' starts a comment.  Keys are the RunConfig
+    field names (``n_sinkers`` is an alias of ``sinkers``), with centers
+    given as 'x,y[,z];x,y[,z];...'."""
     out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -197,10 +157,6 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-_CONFIG_INT = {"dim", "levels", "sinkers", "n_sinkers", "seed", "idr_s", "restart", "max_iters", "threads"}
-_CONFIG_FLOAT = {"dynamic_ratio", "delta", "omega", "beta", "reduction"}
-
-
 def apply_config_entries(cfg: RunConfig, entries: dict) -> RunConfig:
     for key, val in entries.items():
         name = "sinkers" if key == "n_sinkers" else key
@@ -208,15 +164,10 @@ def apply_config_entries(cfg: RunConfig, entries: dict) -> RunConfig:
             cfg.centers = [
                 [float(c) for c in point.split(",")] for point in val.split(";") if point.strip()
             ]
-            continue
-        if not hasattr(cfg, name):
-            raise ValueError(f"unknown config key {key!r}")
-        if name in _CONFIG_INT:
-            setattr(cfg, name, int(val))
-        elif name in _CONFIG_FLOAT:
-            setattr(cfg, name, float(val))
+        elif name in SETTING_TYPES:
+            setattr(cfg, name, SETTING_TYPES[name](val))
         else:
-            setattr(cfg, name, str(val))
+            raise ValueError(f"unknown config key {key!r}")
     return cfg
 
 
@@ -319,8 +270,7 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
     system = StokesSystem(mesh, dofmap, visc, rule)
     params = ChebyshevParams()
     pcfg = PrecondConfig(shape=cfg.precond_shape, s_inv=SCHUR_MAP[cfg.schur])
-    solver_name = "idr_s" if cfg.solver == "idr" else cfg.solver
-    pcfg.validate_solver(solver_name)
+    pcfg.validate_solver(cfg.solver)
     velocity_mg = build_velocity_multigrid(system, params, q2_plan)
     mass_mg = build_mass_multigrid(system, params, q1_plan) if q1_plan else None
     precond = StokesPreconditioner(pcfg, system, params, velocity_mg, mass_mg)
@@ -454,19 +404,16 @@ def sweep(base: RunConfig, axes: dict, master_seed: int = 1) -> list[RunRecord]:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, default=3, choices=(2, 3))
-    p.add_argument("--levels", type=int, default=4, help="refinements of the active mesh")
-    p.add_argument("--sinkers", type=int, default=4)
-    p.add_argument("--dynamic-ratio", type=float, default=1e4)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--solver", choices=("gmres", "fgmres", "idr"), default="fgmres")
-    p.add_argument("--idr-s", type=int, default=2)
-    p.add_argument("--precond-shape", choices=("triangular", "diagonal"), default="triangular")
-    p.add_argument("--schur", choices=("cg", "vcycle", "diag"), default="cg")
-    p.add_argument("--restart", type=int, default=50)
-    p.add_argument("--reduction", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--threads", type=int, default=None, help="BLAS/OpenMP threads (default 1)")
+    # one flag per setting; None means "not given", so the RunConfig
+    # default applies
+    for name, kind in SETTING_TYPES.items():
+        choices = CHOICES.get(name)
+        p.add_argument(
+            "--" + name.replace("_", "-"),
+            type=kind,
+            metavar="{" + ",".join(map(str, choices)) + "}" if choices else None,
+            help=f"default {getattr(RunConfig, name)}",
+        )
     p.add_argument("--config", help="flat key=value configuration file")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
@@ -474,19 +421,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 def _cfg_from_args(args) -> RunConfig:
     cfg = RunConfig(
-        dim=args.dim,
-        levels=args.levels,
-        sinkers=args.sinkers,
-        dynamic_ratio=args.dynamic_ratio,
-        seed=args.seed,
-        solver=args.solver,
-        idr_s=args.idr_s,
-        precond_shape=args.precond_shape,
-        schur=args.schur,
-        restart=args.restart,
-        reduction=args.reduction,
-        max_iters=args.max_iters,
-        threads=RunConfig.threads if args.threads is None else args.threads,
+        **{name: getattr(args, name) for name in SETTING_TYPES if getattr(args, name) is not None}
     )
     if args.config:
         apply_config_entries(cfg, parse_config_file(args.config))
@@ -509,15 +444,8 @@ def main(argv=None) -> int:
     sweepp = sub.add_parser("sweep", help="cross product over comma-separated axis values")
     _add_run_flags(sweepp)
     sweepp.add_argument("--master-seed", type=int, default=1)
-    for axis, conv in (
-        ("--sweep-levels", int),
-        ("--sweep-sinkers", int),
-        ("--sweep-dynamic-ratio", float),
-        ("--sweep-precond-shape", str),
-        ("--sweep-schur", str),
-        ("--sweep-solver", str),
-    ):
-        sweepp.add_argument(axis, type=str, default=None, metavar="V1,V2,...")
+    for axis in SWEEP_AXES:
+        sweepp.add_argument("--sweep-" + axis.replace("_", "-"), metavar="V1,V2,...")
 
     args = parser.parse_args(argv)
     try:
@@ -536,19 +464,12 @@ def main(argv=None) -> int:
             else:
                 json.dump(record.to_dict(), sys.stdout, indent=2)
                 sys.stdout.write("\n")
-            return 0 if record.converged else 2
-        axes = {}
-        for name, conv in (
-            ("levels", int),
-            ("sinkers", int),
-            ("dynamic_ratio", float),
-            ("precond_shape", str),
-            ("schur", str),
-            ("solver", str),
-        ):
-            raw = getattr(args, f"sweep_{name}")
-            if raw:
-                axes[name] = _parse_list(raw, conv)
+            return 0 if record.converged and not record.flag else 2
+        axes = {
+            axis: _parse_list(raw, SETTING_TYPES[axis])
+            for axis in SWEEP_AXES
+            if (raw := getattr(args, f"sweep_{axis}"))
+        }
         records = sweep(cfg, axes, master_seed=args.master_seed)
         text = records_to_csv(records)
         if args.out:
@@ -556,7 +477,8 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-        return 0 if all(r.converged and not r.error for r in records) else 2
+        # a row that raised keeps converged=False
+        return 0 if all(r.converged and not r.flag for r in records) else 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

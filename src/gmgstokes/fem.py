@@ -253,17 +253,8 @@ def distribute_dofs(mesh: MeshHierarchy) -> DofMap:
     return dm
 
 
-def support_points(dim: int, level: int, degree: int) -> np.ndarray:
-    """Physical coordinates of the scalar support points, in dof order."""
-    n = 2**level
-    m = degree * n + 1
-    k = np.arange(m**dim)
-    coords = np.stack([(k // m**a) % m for a in range(dim)], axis=1)
-    return coords / (degree * n)
-
-
 # ---------------------------------------------------------------------------
-# Block vectors and boundary conditions
+# Block vectors
 
 
 @dataclass
@@ -288,53 +279,11 @@ class BlockVector:
         return cls(np.zeros(n_u), np.zeros(n_p))
 
 
-def apply_dirichlet(v: BlockVector, dofs: DofMap, level: int | None = None) -> BlockVector:
-    """Zero the velocity entries whose support point lies on the boundary."""
-    ld = dofs.levels[-1 if level is None else level]
-    out = v.copy()
-    u2 = out.u.reshape(dofs.dim, ld.n_scalar)
-    u2[:, ld.dirichlet_scalar] = 0.0
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Point evaluation and interpolation (used by transfers tests and error norms)
+# Quadrature points
 
 
 def cell_quad_points(mesh: MeshHierarchy, level: int, rule: QuadratureRule) -> np.ndarray:
     """Physical quadrature points of every cell, shape (n_cells, n_q, dim)."""
     lat = mesh.cell_lattices(level)
     return (lat[:, None, :] + rule.points[None, :, :]) * mesh.h(level)
-
-
-def evaluate_scalar(
-    coeffs: np.ndarray,
-    dofs: LevelDofs,
-    dim: int,
-    degree: int,
-    points: np.ndarray,
-) -> np.ndarray:
-    """Evaluate a scalar FE function at arbitrary points of [0,1]^dim."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = int(round(1.0 / dofs.h))
-    lat = np.minimum(np.floor(points * n).astype(np.int64), n - 1)
-    loc = points * n - lat
-    cell = np.zeros(len(points), dtype=np.int64)
-    for a in range(dim):
-        cell += lat[:, a] * n**a
-    cmap = dofs.q2_map if degree == 2 else dofs.q1_map
-    basis = q_basis(degree)
-    ax_vals = [
-        np.stack([lagrange_value_1d(basis, i, loc[:, a]) for i in range(basis.n)], axis=1)
-        for a in range(dim)
-    ]
-    lidx = local_lattice(degree, dim)
-    vals = np.ones((len(points), len(lidx)))
-    for a in range(dim):
-        vals *= ax_vals[a][:, lidx[:, a]]
-    return np.sum(coeffs[cmap[cell]] * vals, axis=1)
-
-
-def interpolate_scalar(fn, dim: int, level: int, degree: int) -> np.ndarray:
-    """Nodal interpolation of ``fn(points) -> values`` onto the FE space."""
-    return np.asarray(fn(support_points(dim, level, degree)), dtype=float)

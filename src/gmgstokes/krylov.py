@@ -42,24 +42,22 @@ class VectorLedger:
     def __init__(self):
         self.live = 0
         self.peak = 0
-        self.vector_length = 0
         self.events: list[tuple[str, int]] = []
 
     def take(self, n: int) -> np.ndarray:
         arr = np.zeros(n)
-        self._register(n)
+        self._register()
         return arr
 
     def adopt(self, arr: np.ndarray) -> np.ndarray:
-        self._register(arr.size)
+        self._register()
         return arr
 
     def release(self, count: int = 1) -> None:
         self.live -= count
         self.events.append(("release", self.live))
 
-    def _register(self, n: int) -> None:
-        self.vector_length = max(self.vector_length, n)
+    def _register(self) -> None:
         self.live += 1
         self.peak = max(self.peak, self.live)
         self.events.append(("take", self.live))

@@ -40,16 +40,6 @@ class MeshHierarchy:
         k = np.arange(self.n_cells(level))
         return np.stack([(k // n**a) % n for a in range(self.dim)], axis=1)
 
-    def cell_centers(self, level: int) -> np.ndarray:
-        return (self.cell_lattices(level) + 0.5) * self.h(level)
-
-    def cell_index(self, lattice, level: int) -> int:
-        n = self.cells_per_axis(level)
-        lattice = np.asarray(lattice)
-        if np.any(lattice < 0) or np.any(lattice >= n):
-            raise ValueError(f"lattice {lattice} out of range on level {level}")
-        return int(sum(int(lattice[a]) * n**a for a in range(self.dim)))
-
     def _check_level(self, level: int) -> None:
         if not 0 <= level < self.n_levels:
             raise ValueError(f"level {level} not in hierarchy of {self.n_levels} levels")

@@ -42,7 +42,10 @@ _LANCZOS_SEED = 1789
 def estimate_lambda_max(op, diag, iters: int = 10, safety: float = 1.2, seed: int = _LANCZOS_SEED):
     """Largest eigenvalue of diag^-1 op, estimated by ``iters`` Lanczos steps
     on the symmetrized operator from a seeded random start, scaled by the
-    safety factor.  Falls back to power iteration on immediate breakdown."""
+    safety factor.  Each step records its Lanczos coefficient before it
+    tests for breakdown, so ``iters >= 1`` always gives an estimate."""
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
     n = diag.size
     if np.any(diag <= 0.0):
         raise ValueError("diagonal must be strictly positive")
@@ -73,13 +76,6 @@ def estimate_lambda_max(op, diag, iters: int = 10, safety: float = 1.2, seed: in
         v = w / beta
         basis.append(v)
         w = bop(v)
-    if not alphas:
-        # degenerate start, fall back to plain power iteration
-        v = rng.standard_normal(n)
-        for _ in range(30):
-            v = bop(v)
-            v /= np.linalg.norm(v)
-        return safety * float(v @ bop(v))
     tmat = np.diag(alphas)
     for i, beta in enumerate(betas[: len(alphas) - 1]):
         tmat[i, i + 1] = tmat[i + 1, i] = beta

@@ -44,13 +44,12 @@ class ElementMatrices:
     matching :attr:`LevelOperatorContext.u_map`."""
 
     A: np.ndarray  # (dim*L2, dim*L2) fully coupled strain-rate form
-    A_partial: np.ndarray  # (dim*L2, dim*L2) diagonal gradient entries only
     B: np.ndarray  # (L1, dim*L2) divergence, -int (div v) q
     Mp: np.ndarray  # (L1, L1) pressure mass
 
     @property
     def nbytes(self) -> int:
-        return self.A.nbytes + self.A_partial.nbytes + self.B.nbytes + self.Mp.nbytes
+        return self.A.nbytes + self.B.nbytes + self.Mp.nbytes
 
 
 _ELEMENT_CACHE: dict[tuple, ElementMatrices] = {}
@@ -69,13 +68,12 @@ def _element_matrices(dim: int, rule: QuadratureRule) -> ElementMatrices:
     eye = np.eye(dim)
     # 2 eps(v) : eps(u) = grad v_a . grad u_a + d_c v_a d_a u_c
     ka = np.einsum("ac,ibjb->aicj", eye, gram) + gram.transpose(3, 0, 1, 2)
-    kp = 2.0 * np.einsum("ac,iaja->aicj", eye, gram)
     km = np.einsum("q,qk,ql->kl", w, v1, v1)
     kb = -np.einsum("q,qk,qja->kaj", w, v1, g).reshape(v1.shape[1], n)
-    ka, kp, km = (0.5 * (m + m.T) for m in (ka.reshape(n, n), kp.reshape(n, n), km))
-    for m in (ka, kp, kb, km):
+    ka, km = (0.5 * (m + m.T) for m in (ka.reshape(n, n), km))
+    for m in (ka, kb, km):
         m.setflags(write=False)
-    out = _ELEMENT_CACHE[key] = ElementMatrices(A=ka, A_partial=kp, B=kb, Mp=km)
+    out = _ELEMENT_CACHE[key] = ElementMatrices(A=ka, B=kb, Mp=km)
     return out
 
 
@@ -173,30 +171,16 @@ def _gather_velocity(ctx: LevelOperatorContext, u: np.ndarray) -> np.ndarray:
     return np.take(um, ctx.u_map, out=cells, mode="clip")
 
 
-def _apply_velocity(ctx: LevelOperatorContext, kmat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Gather, one GEMM with the reference matrix, mu_c h**(dim-2) per
-    cell, one scatter; constrained rows act as the identity."""
-    local = np.matmul(_gather_velocity(ctx, u), kmat, out=ctx.work[2])
+def apply_A(ctx: LevelOperatorContext, u: np.ndarray) -> np.ndarray:
+    """Viscous block: A_ij = int 2*mu eps(phi_i) : eps(phi_j), the fully
+    coupled strain-rate form.  Gather, one GEMM with the reference matrix,
+    mu_c h**(dim-2) per cell, one scatter; constrained rows act as the
+    identity."""
+    local = np.matmul(_gather_velocity(ctx, u), ctx.elements.A, out=ctx.work[2])
     local *= (ctx.mu * ctx.h ** (ctx.dim - 2))[:, None]
     out = _scatter(ctx.u_map, local, ctx.n_u)
     out[ctx.u_constrained] = u[ctx.u_constrained]
-    return out
-
-
-def apply_A(ctx: LevelOperatorContext, u: np.ndarray) -> np.ndarray:
-    """Viscous block: A_ij = int 2*mu eps(phi_i) : eps(phi_j), the fully
-    coupled strain-rate form."""
-    out = _apply_velocity(ctx, ctx.elements.A, u)
     ctx.count("apply_A")
-    return out
-
-
-def apply_A_partial(ctx: LevelOperatorContext, u: np.ndarray) -> np.ndarray:
-    """Partially coupled variant keeping only the diagonal gradient
-    entries: component d sees int 2*mu (d_d u_d)(d_d v_d), so the
-    velocity components decouple completely."""
-    out = _apply_velocity(ctx, ctx.elements.A_partial, u)
-    ctx.count("apply_A_partial")
     return out
 
 

@@ -56,7 +56,6 @@ class PrecondConfig:
     a_inv: str = "gmg_vcycle"
     s_inv: str = "cg_mass"
     cg_mass_tol: float = 1e-2
-    exact_tol: float = 1e-12
 
     def __post_init__(self):
         if self.shape not in SHAPES:
@@ -69,10 +68,8 @@ class PrecondConfig:
     def validate_solver(self, solver: str) -> None:
         """The inner mass CG changes between applications, so it demands a
         flexible outer method."""
-        if self.s_inv == "cg_mass" and solver not in ("fgmres", "idr", "idr_s"):
-            raise ConfigError(
-                "s_inv='cg_mass' varies between applications; use fgmres or idr_s"
-            )
+        if self.s_inv == "cg_mass" and solver not in ("fgmres", "idr"):
+            raise ConfigError("s_inv='cg_mass' varies between applications; use fgmres or idr")
 
 
 def materialize(op, n_in: int, n_out: int | None = None) -> np.ndarray:
@@ -115,7 +112,6 @@ class StokesPreconditioner:
         self.params = params or ChebyshevParams()
         self.inner_iterations = 0
         self.inner_failures = 0
-        self.applications = 0
         ctx = system.active
 
         if cfg.a_inv == "gmg_vcycle":
@@ -188,7 +184,6 @@ class StokesPreconditioner:
     # -- the block application -----------------------------------------
 
     def apply(self, r: BlockVector) -> BlockVector:
-        self.applications += 1
         p = -self.schur_apply(r.p)
         if self.cfg.shape == "triangular":
             u = self.a_apply(r.u - apply_Bt(self.system.active, p))

@@ -4,11 +4,21 @@ Classic finite element assembly: loop over cells, build the local element
 matrix by quadrature, scatter into a dense global matrix, then impose the
 identity-on-constrained-rows convention.  Deliberately structured unlike
 the production gather/GEMM/scatter path.
+
+Also pointwise evaluation and nodal interpolation of scalar FE functions,
+the reference the transfer and interpolation tests compare against.
 """
 
 import numpy as np
 
-from gmgstokes.fem import QuadratureRule, q_basis, shape_eval
+from gmgstokes.fem import (
+    LevelDofs,
+    QuadratureRule,
+    lagrange_value_1d,
+    local_lattice,
+    q_basis,
+    shape_eval,
+)
 from gmgstokes.mesh import MeshHierarchy
 
 
@@ -34,7 +44,7 @@ def velocity_indices(ld, dim: int) -> np.ndarray:
     return (ld.dirichlet_scalar[None, :] + offs[:, None]).ravel()
 
 
-def assemble_A(mesh, dofmap, level, mu_cells, rule, constrain=True, partial=False):
+def assemble_A(mesh, dofmap, level, mu_cells, rule, constrain=True):
     dim = mesh.dim
     ld = dofmap.levels[level]
     h = ld.h
@@ -46,23 +56,15 @@ def assemble_A(mesh, dofmap, level, mu_cells, rule, constrain=True, partial=Fals
         kloc = np.zeros((dim, l2, dim, l2))
         for q in range(rule.n):
             gph = grads[q] / h  # physical gradients, (l2, dim)
-            if partial:
-                # only the (d,d) gradient entries couple: component a pairs
-                # with itself through d_a phi_i * d_a phi_j
-                for a in range(dim):
-                    kloc[a, :, a, :] += (
-                        2.0 * mu_cells[c] * rule.weights[q] * h**dim
-                    ) * np.outer(gph[:, a], gph[:, a])
-            else:
-                eps = np.zeros((dim, l2, dim, dim))
-                for a in range(dim):
-                    for i in range(l2):
-                        t = np.zeros((dim, dim))
-                        t[a, :] = gph[i]
-                        eps[a, i] = 0.5 * (t + t.T)
-                kloc += (2.0 * mu_cells[c] * rule.weights[q] * h**dim) * np.einsum(
-                    "aide,bjde->aibj", eps, eps
-                )
+            eps = np.zeros((dim, l2, dim, dim))
+            for a in range(dim):
+                for i in range(l2):
+                    t = np.zeros((dim, dim))
+                    t[a, :] = gph[i]
+                    eps[a, i] = 0.5 * (t + t.T)
+            kloc += (2.0 * mu_cells[c] * rule.weights[q] * h**dim) * np.einsum(
+                "aide,bjde->aibj", eps, eps
+            )
         gidx = (np.arange(dim)[:, None] * ld.n_scalar + ld.q2_map[c][None, :]).ravel()
         mat[np.ix_(gidx, gidx)] += kloc.reshape(dim * l2, dim * l2)
     if constrain:
@@ -135,3 +137,45 @@ def free_velocity_indices(ld, dim: int) -> np.ndarray:
     mask = np.ones(dim * ld.n_scalar, dtype=bool)
     mask[velocity_indices(ld, dim)] = False
     return np.nonzero(mask)[0]
+
+
+def support_points(dim: int, level: int, degree: int) -> np.ndarray:
+    """Physical coordinates of the scalar support points, in dof order."""
+    n = 2**level
+    m = degree * n + 1
+    k = np.arange(m**dim)
+    coords = np.stack([(k // m**a) % m for a in range(dim)], axis=1)
+    return coords / (degree * n)
+
+
+def evaluate_scalar(
+    coeffs: np.ndarray,
+    dofs: LevelDofs,
+    dim: int,
+    degree: int,
+    points: np.ndarray,
+) -> np.ndarray:
+    """Evaluate a scalar FE function at arbitrary points of [0,1]^dim."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n = int(round(1.0 / dofs.h))
+    lat = np.minimum(np.floor(points * n).astype(np.int64), n - 1)
+    loc = points * n - lat
+    cell = np.zeros(len(points), dtype=np.int64)
+    for a in range(dim):
+        cell += lat[:, a] * n**a
+    cmap = dofs.q2_map if degree == 2 else dofs.q1_map
+    basis = q_basis(degree)
+    ax_vals = [
+        np.stack([lagrange_value_1d(basis, i, loc[:, a]) for i in range(basis.n)], axis=1)
+        for a in range(dim)
+    ]
+    lidx = local_lattice(degree, dim)
+    vals = np.ones((len(points), len(lidx)))
+    for a in range(dim):
+        vals *= ax_vals[a][:, lidx[:, a]]
+    return np.sum(coeffs[cmap[cell]] * vals, axis=1)
+
+
+def interpolate_scalar(fn, dim: int, level: int, degree: int) -> np.ndarray:
+    """Nodal interpolation of ``fn(points) -> values`` onto the FE space."""
+    return np.asarray(fn(support_points(dim, level, degree)), dtype=float)

@@ -18,7 +18,6 @@ from gmgstokes.krylov import SolveControl, VectorLedger, fgmres, gmres
 from gmgstokes.mesh import build_hierarchy
 from gmgstokes.operators import (
     apply_A,
-    apply_A_partial,
     apply_B,
     apply_Bt,
     apply_Mp,
@@ -92,7 +91,7 @@ def test_exact_preconditioner_identity():
 
 
 def test_matrix_free_oracle_equivalence():
-    """All five operators match brute-force assembled matrices on meshes up
+    """All four operators match brute-force assembled matrices on meshes up
     to 4^dim cells: 20 random vectors, relative error < 1e-12."""
     worst = 0.0
     for dim in (2, 3):
@@ -107,9 +106,6 @@ def test_matrix_free_oracle_equivalence():
             lvl = mesh.active_level
             mats = {
                 apply_A: oracle.assemble_A(mesh, system.dofmap, lvl, visc.level(lvl), system.rule),
-                apply_A_partial: oracle.assemble_A(
-                    mesh, system.dofmap, lvl, visc.level(lvl), system.rule, partial=True
-                ),
                 apply_B: oracle.assemble_B(mesh, system.dofmap, lvl, system.rule),
                 apply_Mp: oracle.assemble_Mp(mesh, system.dofmap, lvl, visc.level(lvl), system.rule),
             }
@@ -120,7 +116,6 @@ def test_matrix_free_oracle_equivalence():
                 p = rng.standard_normal(ctx.n_p)
                 checks = [
                     (apply_A(ctx, u), mats[apply_A] @ u),
-                    (apply_A_partial(ctx, u), mats[apply_A_partial] @ u),
                     (apply_B(ctx, u), mats[apply_B] @ u),
                     (apply_Bt(ctx, p), mats[apply_B].T @ p),
                     (apply_Mp(ctx, p), mats[apply_Mp] @ p),

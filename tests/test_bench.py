@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -22,6 +23,16 @@ from gmgstokes.bench import (
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 SCHEMA_PATH = os.path.join(SRC_DIR, "gmgstokes", "run_record_schema.json")
+# the CSV layout is part of the output contract, so it is pinned literally
+CSV_HEADER = (
+    "dim,levels,sinkers,dynamic_ratio,delta,omega,beta,seed,solver,idr_s,"
+    "precond_shape,schur,restart,reduction,max_iters,threads,n_u,n_p,n_dofs,"
+    "iterations,converged,flag,precond_applications,matvec_count,peak_vector_count,"
+    "inner_schur_iterations,initial_residual,final_residual,true_final_residual,"
+    "reduction_achieved,mesh_bytes,dofmap_bytes,constraint_bytes,solver_vector_bytes,"
+    "application_vector_bytes,multigrid_aux_bytes,vcycle_count,"
+    "model_flops_per_vcycle,model_flops_per_dof,error,package_version"
+)
 
 
 def small_cfg(**kw):
@@ -90,7 +101,7 @@ def test_sweep_deterministic_and_complete(tmp_path):
     csv1 = records_to_csv(recs1)
     csv2 = records_to_csv(recs2)
     assert csv1 == csv2
-    assert csv1.splitlines()[0] == ",".join(CSV_COLUMNS)
+    assert csv1.splitlines()[0] == CSV_HEADER
     assert len(csv1.splitlines()) == 5
     # per-row seeds derive from the master seed
     assert recs1[0].config["seed"] == derive_seed(7, 0)
@@ -115,19 +126,46 @@ def test_iterations_nondecreasing_in_dr_within_sweep():
     assert recs[0].iterations <= recs[1].iterations
 
 
+# every scalar setting, each away from its default, with its parsed type
+NON_DEFAULT_SETTINGS = {
+    "dim": 2,
+    "levels": 2,
+    "sinkers": 3,
+    "dynamic_ratio": 1000.0,
+    "delta": 150.0,
+    "omega": 0.2,
+    "beta": 5.0,
+    "seed": 9,
+    "solver": "idr",
+    "idr_s": 4,
+    "precond_shape": "diagonal",
+    "schur": "vcycle",
+    "restart": 30,
+    "reduction": 1e-8,
+    "max_iters": 77,
+    "threads": 2,
+}
+
+
+def _assert_settings(config):
+    settable = {f.name for f in dataclasses.fields(RunConfig)} - {"centers"}
+    assert set(NON_DEFAULT_SETTINGS) == settable
+    for name, value in NON_DEFAULT_SETTINGS.items():
+        got = config[name]
+        assert got == value and type(got) is type(value), name
+
+
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "bench.cfg"
     path.write_text(
-        "# comment\nn_sinkers = 3\ndynamic_ratio = 1e3\nseed = 9\n"
-        "delta = 150\nomega = 0.2\nbeta = 5\n"
-        "solver = idr\nschur = vcycle\ncenters = 0.25,0.25; 0.5,0.5 ; 0.75,0.75\n"
+        "# comment\ndim = 2\nlevels = 2\nn_sinkers = 3\ndynamic_ratio = 1e3\n"
+        "delta = 150\nomega = 0.2\nbeta = 5\nseed = 9  # trailing comment\n"
+        "solver = idr\nidr_s = 4\nprecond_shape = diagonal\nschur = vcycle\n"
+        "restart = 30\nreduction = 1e-8\nmax_iters = 77\nthreads = 2\n"
+        "centers = 0.25,0.25; 0.5,0.5 ; 0.75,0.75\n"
     )
-    cfg = apply_config_entries(RunConfig(dim=2, levels=2), parse_config_file(str(path)))
-    assert cfg.sinkers == 3
-    assert cfg.dynamic_ratio == 1000.0
-    assert cfg.seed == 9
-    assert (cfg.delta, cfg.omega, cfg.beta) == (150.0, 0.2, 5.0)
-    assert cfg.solver == "idr"
+    cfg = apply_config_entries(RunConfig(), parse_config_file(str(path)))
+    _assert_settings(dataclasses.asdict(cfg))
     assert cfg.centers == [[0.25, 0.25], [0.5, 0.5], [0.75, 0.75]]
 
 
@@ -152,6 +190,15 @@ def test_cli_run_json(tmp_path, schema):
     assert data["converged"] is True
 
 
+def test_cli_flags_cover_every_setting(tmp_path, monkeypatch):
+    for var in THREAD_VARS:  # --threads writes them; restore them afterwards
+        monkeypatch.setenv(var, "1")
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in NON_DEFAULT_SETTINGS.items()]
+    out = tmp_path / "record.json"
+    assert main(["run", *flags, "--out", str(out)]) == 0
+    _assert_settings(json.loads(out.read_text())["config"])
+
+
 def test_cli_run_csv(tmp_path):
     out = tmp_path / "record.csv"
     code = main(
@@ -163,7 +210,7 @@ def test_cli_run_csv(tmp_path):
     )
     assert code == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == CSV_HEADER
     assert len(lines) == 2
 
 
@@ -196,13 +243,18 @@ def test_cli_config_error_exit_code():
     assert code == 1
 
 
+@pytest.mark.parametrize("flag", [["--solver", "bogus"], ["--dim", "4"]])
+def test_cli_invalid_value_exit_code(flag):
+    assert main(["run", *flag, "--out", os.devnull]) == 1
+
+
 def test_write_record_csv_appends_header_once(tmp_path):
     rec = run_benchmark(small_cfg())
     path = tmp_path / "out.csv"
     write_record(rec, str(path), "csv")
     write_record(rec, str(path), "csv")
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == CSV_HEADER
     assert len(lines) == 3
 
 
@@ -241,11 +293,10 @@ def test_cli_threads_flag_overrides_preset_environment(tmp_path, schema, flag):
     assert "environment" not in CSV_COLUMNS
 
 
-def test_unconverged_coarse_solve_flags_the_run(monkeypatch):
+def _cut_mass_coarse_solve(monkeypatch):
+    """Make the mass hierarchy's coarse CG stop after one iteration."""
     from gmgstokes import multigrid
 
-    cfg = dict(solver="idr", schur="vcycle")
-    assert "coarse_solve_unconverged" not in run_benchmark(small_cfg(**cfg)).flag
     build = multigrid.build_mass_multigrid
 
     def one_coarse_iteration(*args, **kwargs):
@@ -253,5 +304,27 @@ def test_unconverged_coarse_solve_flags_the_run(monkeypatch):
         return multigrid.Multigrid(mg.levels, mg.plan, mg.params, coarse_max_iters=1)
 
     monkeypatch.setattr(multigrid, "build_mass_multigrid", one_coarse_iteration)
+
+
+def test_unconverged_coarse_solve_flags_the_run(monkeypatch):
+    cfg = dict(solver="idr", schur="vcycle")
+    assert "coarse_solve_unconverged" not in run_benchmark(small_cfg(**cfg)).flag
+    _cut_mass_coarse_solve(monkeypatch)
     rec = run_benchmark(small_cfg(**cfg))
     assert "coarse_solve_unconverged" in rec.flag.split(";")
+
+
+def test_cli_flagged_run_exit_code(tmp_path, monkeypatch):
+    _cut_mass_coarse_solve(monkeypatch)
+    out = tmp_path / "record.json"
+    code = main(
+        [
+            "run", "--dim", "2", "--levels", "2", "--sinkers", "1",
+            "--dynamic-ratio", "100", "--seed", "3", "--solver", "idr",
+            "--schur", "vcycle", "--out", str(out),
+        ]
+    )
+    data = json.loads(out.read_text())
+    assert data["converged"] is True
+    assert "coarse_solve_unconverged" in data["flag"].split(";")
+    assert code == 2

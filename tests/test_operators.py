@@ -3,11 +3,11 @@ import pytest
 
 import oracle
 from conftest import constant_viscosity, make_system, random_viscosity
-from gmgstokes.fem import BlockVector, interpolate_scalar, local_lattice
+from oracle import interpolate_scalar
+from gmgstokes.fem import BlockVector, local_lattice
 from gmgstokes.mesh import build_hierarchy
 from gmgstokes.operators import (
     apply_A,
-    apply_A_partial,
     apply_B,
     apply_Bt,
     apply_Mp,
@@ -25,7 +25,6 @@ def _oracle(system, level):
     mu = system.visc.level(level)
     return {
         "A": oracle.assemble_A(mesh, dm, level, mu, rule),
-        "Ap": oracle.assemble_A(mesh, dm, level, mu, rule, partial=True),
         "B": oracle.assemble_B(mesh, dm, level, rule),
         "Mp": oracle.assemble_Mp(mesh, dm, level, mu, rule),
     }
@@ -52,7 +51,6 @@ def test_matrix_free_matches_oracle(dim, n_levels):
             p = rng.standard_normal(ctx.n_p)
             pairs = [
                 (apply_A(ctx, u), mats["A"] @ u),
-                (apply_A_partial(ctx, u), mats["Ap"] @ u),
                 (apply_B(ctx, u), mats["B"] @ u),
                 (apply_Bt(ctx, p), mats["B"].T @ p),
                 (apply_Mp(ctx, p), mats["Mp"] @ p),
@@ -131,10 +129,9 @@ def test_operator_symmetry():
     rng = np.random.default_rng(1)
     v = rng.standard_normal(ctx.n_u)
     w = rng.standard_normal(ctx.n_u)
-    for op in (apply_A, apply_A_partial):
-        lhs = op(ctx, v) @ w
-        rhs = v @ op(ctx, w)
-        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+    lhs = apply_A(ctx, v) @ w
+    rhs = v @ apply_A(ctx, w)
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 def test_divergence_free_linear_field():
@@ -203,18 +200,6 @@ def test_mp_scales_inversely_with_mu():
     s2 = make_system(2, 1, visc=constant_viscosity(mesh, 2.0))
     p = np.random.default_rng(5).standard_normal(s1.n_p)
     assert np.allclose(apply_Mp(s2.active, p), 0.5 * apply_Mp(s1.active, p), rtol=1e-13)
-
-
-def test_apply_A_partial_component_decoupling():
-    system, _ = _system_with_oracle(3, 1, seed=9)
-    ctx = system.active
-    u = np.zeros(ctx.n_u)
-    rng = np.random.default_rng(6)
-    u[ctx.n_scalar : 2 * ctx.n_scalar] = rng.standard_normal(ctx.n_scalar)
-    out = apply_A_partial(ctx, u).reshape(3, -1)
-    assert np.abs(out[0]).max() == 0.0
-    assert np.abs(out[2]).max() == 0.0
-    assert np.abs(out[1]).max() > 0.0
 
 
 def test_apply_stokes_consistency_and_symmetry():

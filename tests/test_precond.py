@@ -144,7 +144,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         cfg.validate_solver("gmres")
     cfg.validate_solver("fgmres")
-    cfg.validate_solver("idr_s")
+    cfg.validate_solver("idr")
     PrecondConfig(s_inv="vcycle_mass").validate_solver("gmres")
 
 
