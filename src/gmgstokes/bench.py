@@ -100,6 +100,7 @@ class RunRecord:
     vcycle_count: int = 0
     model_flops_per_vcycle: float = 0.0
     model_flops_per_dof: float = 0.0
+    chebyshev: dict = field(default_factory=dict)
     error: str = ""
     environment: dict = field(default_factory=dict)
 
@@ -123,7 +124,7 @@ MEMORY_COLUMNS = (
     "application_vector_bytes",
     "multigrid_aux_bytes",
 )
-JSON_ONLY = ("centers", "residual_history", "timings", "environment")
+JSON_ONLY = ("centers", "residual_history", "timings", "chebyshev", "environment")
 _SPREAD = {"config": [f.name for f in dataclasses.fields(RunConfig)], "memory": MEMORY_COLUMNS}
 CSV_COLUMNS = [
     name
@@ -224,6 +225,24 @@ def memory_report(problem: dict) -> dict:
         "application_vector_bytes": int(APPLICATION_VECTORS * n * 8),
         "multigrid_aux_bytes": int(mg_bytes),
     }
+
+
+def chebyshev_report(precond) -> dict:
+    """The safety-scaled largest-eigenvalue estimate ``lam_max`` and the
+    smoothing interval of every Chebyshev smoother in the preconditioner:
+    each level of the velocity hierarchy and, when built, of the mass
+    hierarchy (coarsest first), and the Schur mass-CG preconditioner when
+    it is used."""
+
+    def entry(lam):
+        return {"lam_max": lam, "interval": [lam / precond.params.alpha_low, lam]}
+
+    out = {"velocity": [entry(lv.lam_max) for lv in precond.velocity_mg.levels]}
+    if precond.mass_mg is not None:
+        out["mass"] = [entry(lv.lam_max) for lv in precond.mass_mg.levels]
+    if precond.cfg.s_inv == "cg_mass":
+        out["schur_mass_cg"] = entry(precond.mp_lam)
+    return out
 
 
 def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json") -> RunRecord:
@@ -346,6 +365,7 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
     record.memory = memory_report(
         {"system": system, "velocity_mg": velocity_mg, "mass_mg": mass_mg, "stats": stats}
     )
+    record.chebyshev = chebyshev_report(precond)
     record.environment = {"threads": {var: os.environ.get(var) for var in THREAD_VARS}}
 
     if out_path:
@@ -447,7 +467,12 @@ def main(argv=None) -> int:
     for axis in SWEEP_AXES:
         sweepp.add_argument("--sweep-" + axis.replace("_", "-"), metavar="V1,V2,...")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a malformed command line, the code of a flagged
+        # or unconverged run here, so report it as invalid input (--help is 0)
+        return 1 if exc.code else 0
     try:
         cfg = _cfg_from_args(args)
         if args.threads is not None:

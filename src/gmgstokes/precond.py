@@ -128,7 +128,7 @@ class StokesPreconditioner:
             self.mass_mg = mass_mg or build_mass_multigrid(system, self.params)
         elif cfg.s_inv == "cg_mass":
             self._mp_diag = compute_diagonal(ctx, "Mp")
-            self._mp_lam = estimate_lambda_max(
+            self.mp_lam = estimate_lambda_max(
                 lambda p: apply_Mp(ctx, p), self._mp_diag, self.params.eig_estimate_iters,
                 self.params.alpha_high,
             )
@@ -163,7 +163,7 @@ class StokesPreconditioner:
         if cfg.s_inv == "exact_inner_solve":
             return self._s_pinv @ r_p
         pc = lambda r: chebyshev_smooth(
-            self.params, lambda p: apply_Mp(ctx, p), self._mp_diag, r, lam_max=self._mp_lam
+            self.params, lambda p: apply_Mp(ctx, p), self._mp_diag, r, lam_max=self.mp_lam
         )
         x, stats = krylov.cg(
             lambda p: apply_Mp(ctx, p),

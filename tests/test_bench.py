@@ -53,6 +53,26 @@ def test_run_record_validates_against_schema(schema):
     jsonschema.validate(rec.to_dict(), schema)
 
 
+@pytest.mark.parametrize(
+    "schur, smoothers",
+    [("cg", {"velocity", "schur_mass_cg"}), ("vcycle", {"velocity", "mass"}), ("diag", {"velocity"})],
+)
+def test_run_record_reports_chebyshev_intervals(schema, schur, smoothers):
+    rec = run_benchmark(small_cfg(schur=schur))
+    data = json.loads(json.dumps(rec.to_dict()))
+    jsonschema.validate(data, schema)
+    cheb = data["chebyshev"]
+    assert set(cheb) == smoothers
+    entries = [cheb["schur_mass_cg"]] if "schur_mass_cg" in cheb else []
+    for hierarchy in ("velocity", "mass"):
+        if hierarchy in cheb:
+            assert len(cheb[hierarchy]) == rec.config["levels"] + 1
+            entries += cheb[hierarchy]
+    for e in entries:
+        assert e["interval"] == [e["lam_max"] / 15, e["lam_max"]]
+    assert "chebyshev" not in CSV_COLUMNS
+
+
 def test_zero_sinkers_trivial_solve():
     rec = run_benchmark(small_cfg(sinkers=0, dynamic_ratio=1.0))
     assert rec.converged
@@ -243,9 +263,19 @@ def test_cli_config_error_exit_code():
     assert code == 1
 
 
-@pytest.mark.parametrize("flag", [["--solver", "bogus"], ["--dim", "4"]])
+@pytest.mark.parametrize(
+    "flag",
+    [["--solver", "bogus"], ["--dim", "4"], ["--dim", "x"], ["--no-such-flag"], ["--format", "xml"]],
+)
 def test_cli_invalid_value_exit_code(flag):
+    # 2 is kept for flagged or unconverged runs, so argparse's own usage
+    # errors (the last three) must not exit 2
     assert main(["run", *flag, "--out", os.devnull]) == 1
+
+
+def test_cli_help_exit_code(capsys):
+    assert main(["run", "--help"]) == 0
+    assert "--dynamic-ratio" in capsys.readouterr().out
 
 
 def test_write_record_csv_appends_header_once(tmp_path):
