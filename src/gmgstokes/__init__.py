@@ -32,6 +32,7 @@ _EXPORTS = {
     "mesh": ("MeshHierarchy", "build_hierarchy"),
     "multigrid": (
         "ChebyshevParams",
+        "ChebyshevWork",
         "Multigrid",
         "TransferPlan",
         "build_mass_multigrid",

@@ -90,6 +90,7 @@ class RunRecord:
     matvec_count: int = 0
     peak_vector_count: int = 0
     inner_schur_iterations: int = 0
+    inner_schur_failures: int = 0
     initial_residual: float = 0.0
     final_residual: float = 0.0
     true_final_residual: float = 0.0
@@ -101,6 +102,7 @@ class RunRecord:
     model_flops_per_vcycle: float = 0.0
     model_flops_per_dof: float = 0.0
     chebyshev: dict = field(default_factory=dict)
+    coarse_cg_iters_max: dict = field(default_factory=dict)
     error: str = ""
     environment: dict = field(default_factory=dict)
 
@@ -124,7 +126,15 @@ MEMORY_COLUMNS = (
     "application_vector_bytes",
     "multigrid_aux_bytes",
 )
-JSON_ONLY = ("centers", "residual_history", "timings", "chebyshev", "environment")
+JSON_ONLY = (
+    "centers",
+    "inner_schur_failures",
+    "residual_history",
+    "timings",
+    "chebyshev",
+    "coarse_cg_iters_max",
+    "environment",
+)
 _SPREAD = {"config": [f.name for f in dataclasses.fields(RunConfig)], "memory": MEMORY_COLUMNS}
 CSV_COLUMNS = [
     name
@@ -210,7 +220,7 @@ def memory_report(problem: dict) -> dict:
         if mg is None:
             continue
         mg_bytes += sum(m.nbytes for m in mg.plan.matrices if m is not None)
-        mg_bytes += sum(lv.diag.nbytes for lv in mg.levels)
+        mg_bytes += sum(lv.work.nbytes for lv in mg.levels)
     for vals in system.visc.values:
         if vals is not None:
             mg_bytes += vals.nbytes
@@ -343,6 +353,7 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
     record.matvec_count = stats.matvec_count
     record.peak_vector_count = stats.peak_vector_count
     record.inner_schur_iterations = precond.inner_iterations
+    record.inner_schur_failures = precond.inner_failures
     record.initial_residual = b_norm
     record.final_residual = float(stats.residual_history[-1]) if stats.residual_history else 0.0
     record.true_final_residual = true_res
@@ -366,6 +377,11 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
         {"system": system, "velocity_mg": velocity_mg, "mass_mg": mass_mg, "stats": stats}
     )
     record.chebyshev = chebyshev_report(precond)
+    record.coarse_cg_iters_max = {
+        kind: mg.coarse_iters_max
+        for kind, mg in (("velocity", velocity_mg), ("mass", mass_mg))
+        if mg is not None
+    }
     record.environment = {"threads": {var: os.environ.get(var) for var in THREAD_VARS}}
 
     if out_path:

@@ -161,29 +161,29 @@ def _gmres_core(op, precond, b, control, ledger, x0, flexible, stats):
     m = control.restart_length
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
 
-    basis: list[np.ndarray] = []
-    zbasis: list[np.ndarray] = []
+    # the Arnoldi basis, and FGMRES's preconditioned basis, as rows of one
+    # block each; a row joins the ledger when it is first used, and the
+    # pages of rows never reached stay unmapped
+    basis = np.empty((m + 1, n))
+    zbasis = np.empty((m if flexible else 0, n))
+    adopted = {"v": 0, "z": 0}  # rows of each block in the ledger
 
-    def vbuf(j):
-        while len(basis) <= j:
-            basis.append(ledger.take(n))
-        return basis[j]
+    def row(block, key, j):
+        while adopted[key] <= j:
+            ledger.adopt(block[adopted[key]])
+            adopted[key] += 1
+        return block[j]
 
-    def zbuf(j):
-        while len(zbasis) <= j:
-            zbasis.append(ledger.take(n))
-        return zbasis[j]
-
-    r0 = vbuf(0)
+    r0 = row(basis, "v", 0)
     if x0 is None:
         r0[:] = b
     else:
-        r0[:] = b - op(x)
+        np.subtract(b, op(x), out=r0)
         stats.matvec_count += 1
     ref = np.linalg.norm(r0)
     if ref == 0.0:
         stats.converged = True
-        ledger.release(len(basis))
+        ledger.release(adopted["v"])
         stats.peak_vector_count = ledger.peak
         return x, stats
     target = control.reduction_target * ref
@@ -203,21 +203,26 @@ def _gmres_core(op, precond, b, control, ledger, x0, flexible, stats):
         k = 0
         for j in range(m):
             if flexible:
-                z = zbuf(j)
+                z = row(zbasis, "z", j)
                 z[:] = pc(basis[j])
             else:
                 z = pc(basis[j])
             stats.precond_applications += 1
             w = op(z)
             stats.matvec_count += 1
-            for i in range(j + 1):
-                hmat[i, j] = basis[i] @ w
-                w = w - hmat[i, j] * basis[i]
+            if np.may_share_memory(w, basis) or np.may_share_memory(w, zbasis):
+                w = w.copy()  # an identity op and preconditioner hand back a basis row
+            # classical Gram-Schmidt, applied twice
+            vj = basis[: j + 1]
+            h = vj @ w
+            w -= h @ vj
+            h2 = vj @ w
+            w -= h2 @ vj
+            hmat[: j + 1, j] = h + h2
             hmat[j + 1, j] = np.linalg.norm(w)
             lucky = hmat[j + 1, j] == 0.0
             if not lucky:
-                vnext = vbuf(j + 1)
-                vnext[:] = w / hmat[j + 1, j]
+                np.divide(w, hmat[j + 1, j], out=row(basis, "v", j + 1))
             # rotate the new column and update the residual recurrence
             for i in range(j):
                 t = cs[i] * hmat[i, j] + sn[i] * hmat[i + 1, j]
@@ -244,15 +249,11 @@ def _gmres_core(op, precond, b, control, ledger, x0, flexible, stats):
             break
         y = np.linalg.solve(np.triu(hmat[:k, :k]), g[:k])
         if flexible:
-            for i in range(k):
-                x += y[i] * zbasis[i]
+            x += y @ zbasis[:k]
         else:
-            u = y[0] * basis[0]
-            for i in range(1, k):
-                u += y[i] * basis[i]
-            x += pc(u)
+            x += pc(y @ basis[:k])
             stats.precond_applications += 1
-        basis[0][:] = b - op(x)
+        np.subtract(b, op(x), out=basis[0])
         stats.matvec_count += 1
         res = np.linalg.norm(basis[0])
         if res <= target:
@@ -263,7 +264,7 @@ def _gmres_core(op, precond, b, control, ledger, x0, flexible, stats):
             break
     if not stats.converged and not stats.flag:
         stats.flag = "max_iters"
-    ledger.release(len(basis) + len(zbasis))
+    ledger.release(adopted["v"] + adopted["z"])
     stats.peak_vector_count = ledger.peak
     return x, stats
 

@@ -87,38 +87,60 @@ def estimate_lambda_max(op, diag, iters: int = 10, safety: float = 1.2, seed: in
     return safety * lam
 
 
-def chebyshev_smooth(params: ChebyshevParams, op, diag, b, x0=None, lam_max=None):
+class ChebyshevWork:
+    """What one Chebyshev smoother keeps between applications: the inverse
+    of the operator diagonal and three full-length work vectors (residual
+    ``r``, update ``d`` and product scratch ``t``), so that smoothing
+    allocates nothing but its result."""
+
+    def __init__(self, diag: np.ndarray):
+        self.inv_diag = 1.0 / diag
+        self.r, self.d, self.t = (np.empty(diag.size) for _ in range(3))
+
+    @property
+    def nbytes(self) -> int:
+        return self.inv_diag.nbytes + self.r.nbytes + self.d.nbytes + self.t.nbytes
+
+
+def chebyshev_smooth(params: ChebyshevParams, op, work: ChebyshevWork, b, x0=None, lam_max=None):
     """Fixed Chebyshev polynomial iteration on the Jacobi-preconditioned
     operator over the interval [lam_max/alpha_low, lam_max]; alpha_low
     plays the part of deal.II's ``smoothing_range``.
 
     The error propagator is the degree-``params.degree`` shifted Chebyshev
     polynomial, so the map (b, x0) -> x is linear and, for symmetric op
-    and x0 = 0, a symmetric positive definite preconditioner.
+    and x0 = 0, a symmetric positive definite preconditioner.  The
+    residual and update live in ``work``; ``b`` and ``x0`` are only read,
+    and the returned x is a new array.
     """
     if lam_max is None:
         raise ValueError("lam_max must be provided (see estimate_lambda_max)")
-    inv_d = 1.0 / diag
+    inv_d, r, d, t = work.inv_diag, work.r, work.d, work.t
     low = lam_max / params.alpha_low
     theta = 0.5 * (lam_max + low)
     delta = 0.5 * (lam_max - low)
     if x0 is None:
-        r = b.copy()
+        np.copyto(r, b)
         x = np.zeros_like(b)
     else:
-        r = b - op(x0)
+        np.subtract(b, op(x0), out=r)
         x = x0.copy()
     if delta <= 1e-14 * theta:
         # degenerate interval: one exact Jacobi step
         return x + inv_d * r / theta
     sigma = theta / delta
     rho = 1.0 / sigma
-    d = inv_d * r / theta
+    np.multiply(inv_d, r, out=d)
+    d /= theta
     x += d
     for _ in range(params.degree - 1):
         r -= op(d)
         rho_new = 1.0 / (2.0 * sigma - rho)
-        d = (rho_new * rho) * d + (2.0 * rho_new / delta) * (inv_d * r)
+        # d = (rho_new * rho) * d + (2 * rho_new / delta) * (inv_d * r)
+        d *= rho_new * rho
+        np.multiply(inv_d, r, out=t)
+        t *= 2.0 * rho_new / delta
+        d += t
         x += d
         rho = rho_new
     return x
@@ -211,7 +233,7 @@ def restrict(plan: TransferPlan, level: int, r_fine):
 @dataclass
 class MGLevel:
     op: object  # callable vector -> vector
-    diag: np.ndarray
+    work: ChebyshevWork  # the smoother's inverse diagonal and buffers
     lam_max: float
     scalar_constrained: np.ndarray  # indices in the scalar space (may be empty)
     components: int
@@ -236,12 +258,14 @@ class Multigrid:
         )
         self.n_vcycles = 0
         self.coarse_unconverged = 0
+        self.coarse_iters_max = 0
 
     def _coarse_solve(self, b: np.ndarray) -> np.ndarray:
         lv = self.levels[0]
-        pc = lambda r: chebyshev_smooth(self.params, lv.op, lv.diag, r, lam_max=lv.lam_max)
+        pc = lambda r: chebyshev_smooth(self.params, lv.op, lv.work, r, lam_max=lv.lam_max)
         x, stats = krylov.cg(lv.op, pc, b, self.coarse_control)
         self.coarse_unconverged += not stats.converged
+        self.coarse_iters_max = max(self.coarse_iters_max, stats.iterations)
         return x
 
     def vcycle(self, b: np.ndarray, level: int | None = None) -> np.ndarray:
@@ -252,14 +276,14 @@ class Multigrid:
             return self._coarse_solve(b)
         lv = self.levels[level]
         comp = lv.components
-        x = chebyshev_smooth(self.params, lv.op, lv.diag, b, lam_max=lv.lam_max)
+        x = chebyshev_smooth(self.params, lv.op, lv.work, b, lam_max=lv.lam_max)
         r = (b - lv.op(x)).reshape(comp, -1)
         r[:, lv.scalar_constrained] = 0.0
         rc = restrict(self.plan, level, r)
         rc[:, self.levels[level - 1].scalar_constrained] = 0.0
         ec = self.vcycle(rc.reshape(-1), level - 1)
         x += prolongate(self.plan, level, ec.reshape(comp, -1), lv.scalar_constrained).reshape(-1)
-        return chebyshev_smooth(self.params, lv.op, lv.diag, b, x0=x, lam_max=lv.lam_max)
+        return chebyshev_smooth(self.params, lv.op, lv.work, b, x0=x, lam_max=lv.lam_max)
 
 
 def build_velocity_multigrid(
@@ -279,7 +303,7 @@ def build_velocity_multigrid(
         levels.append(
             MGLevel(
                 op=op,
-                diag=diag,
+                work=ChebyshevWork(diag),
                 lam_max=lam,
                 scalar_constrained=ctx.dofs.dirichlet_scalar,
                 components=system.mesh.dim,
@@ -303,6 +327,8 @@ def build_mass_multigrid(
         diag = compute_diagonal(ctx, "Mp")
         lam = estimate_lambda_max(op, diag, params.eig_estimate_iters, params.alpha_high)
         levels.append(
-            MGLevel(op=op, diag=diag, lam_max=lam, scalar_constrained=empty, components=1)
+            MGLevel(
+                op=op, work=ChebyshevWork(diag), lam_max=lam, scalar_constrained=empty, components=1
+            )
         )
     return Multigrid(levels, plan, params)

@@ -26,6 +26,7 @@ from . import krylov
 from .fem import BlockVector
 from .multigrid import (
     ChebyshevParams,
+    ChebyshevWork,
     Multigrid,
     build_mass_multigrid,
     build_velocity_multigrid,
@@ -48,6 +49,9 @@ class ConfigError(ValueError):
 A_INV_CHOICES = ("gmg_vcycle", "exact_inner_solve")
 S_INV_CHOICES = ("cg_mass", "vcycle_mass", "diag_mass", "exact_inner_solve")
 SHAPES = ("triangular", "diagonal")
+# iteration cap of the inner Schur mass CG; an application that reaches it
+# counts as an inner failure
+SCHUR_CG_MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -127,11 +131,12 @@ class StokesPreconditioner:
         if cfg.s_inv == "vcycle_mass":
             self.mass_mg = mass_mg or build_mass_multigrid(system, self.params)
         elif cfg.s_inv == "cg_mass":
-            self._mp_diag = compute_diagonal(ctx, "Mp")
+            mp_diag = compute_diagonal(ctx, "Mp")
             self.mp_lam = estimate_lambda_max(
-                lambda p: apply_Mp(ctx, p), self._mp_diag, self.params.eig_estimate_iters,
+                lambda p: apply_Mp(ctx, p), mp_diag, self.params.eig_estimate_iters,
                 self.params.alpha_high,
             )
+            self._mp_work = ChebyshevWork(mp_diag)
         elif cfg.s_inv == "diag_mass":
             self._mp_diag = compute_diagonal(ctx, "Mp")
         else:  # exact_inner_solve
@@ -163,14 +168,16 @@ class StokesPreconditioner:
         if cfg.s_inv == "exact_inner_solve":
             return self._s_pinv @ r_p
         pc = lambda r: chebyshev_smooth(
-            self.params, lambda p: apply_Mp(ctx, p), self._mp_diag, r, lam_max=self.mp_lam
+            self.params, lambda p: apply_Mp(ctx, p), self._mp_work, r, lam_max=self.mp_lam
         )
         x, stats = krylov.cg(
             lambda p: apply_Mp(ctx, p),
             pc,
             r_p,
             krylov.SolveControl(
-                reduction_target=cfg.cg_mass_tol, max_iters=100, restart_length=100
+                reduction_target=cfg.cg_mass_tol,
+                max_iters=SCHUR_CG_MAX_ITERS,
+                restart_length=SCHUR_CG_MAX_ITERS,
             ),
         )
         self.inner_iterations += stats.iterations

@@ -179,3 +179,86 @@ def evaluate_scalar(
 def interpolate_scalar(fn, dim: int, level: int, degree: int) -> np.ndarray:
     """Nodal interpolation of ``fn(points) -> values`` onto the FE space."""
     return np.asarray(fn(support_points(dim, level, degree)), dtype=float)
+
+
+def chebyshev_smooth_reference(params, op, diag, b, x0=None, lam_max=None):
+    """The Chebyshev smoother's recurrence written with a fresh array for
+    every intermediate.  The buffered smoother performs the same
+    operations in the same order, so the two agree bit for bit."""
+    inv_d = 1.0 / diag
+    low = lam_max / params.alpha_low
+    theta = 0.5 * (lam_max + low)
+    delta = 0.5 * (lam_max - low)
+    if x0 is None:
+        r = b.copy()
+        x = np.zeros_like(b)
+    else:
+        r = b - op(x0)
+        x = x0.copy()
+    sigma = theta / delta
+    rho = 1.0 / sigma
+    d = inv_d * r / theta
+    x += d
+    for _ in range(params.degree - 1):
+        r -= op(d)
+        rho_new = 1.0 / (2.0 * sigma - rho)
+        d = (rho_new * rho) * d + (2.0 * rho_new / delta) * (inv_d * r)
+        x += d
+        rho = rho_new
+    return x
+
+
+def gmres_mgs(op, precond, b, control, flexible):
+    """Restarted, right-preconditioned GMRES (FGMRES when ``flexible``)
+    whose Arnoldi step orthogonalizes by modified Gram-Schmidt, one basis
+    vector at a time, from a zero initial guess.  The reference for the
+    solvers' block Gram-Schmidt; returns the solution, the iteration count
+    and the residual history."""
+    pc = precond or (lambda v: v)
+    m = control.restart_length
+    x = np.zeros(b.size)
+    r = b.copy()
+    target = control.reduction_target * np.linalg.norm(r)
+    iterations, history = 0, []
+    while iterations < control.max_iters:
+        cycle_start = np.linalg.norm(r)
+        basis, zbasis = [r / cycle_start], []
+        hmat = np.zeros((m + 1, m))
+        g = np.zeros(m + 1)
+        g[0] = cycle_start
+        cs, sn = np.zeros(m), np.zeros(m)
+        k = 0
+        for j in range(m):
+            z = pc(basis[j])
+            zbasis.append(z)
+            w = op(z)
+            for i in range(j + 1):
+                hmat[i, j] = basis[i] @ w
+                w = w - hmat[i, j] * basis[i]
+            hmat[j + 1, j] = np.linalg.norm(w)
+            lucky = hmat[j + 1, j] == 0.0
+            if not lucky:
+                basis.append(w / hmat[j + 1, j])
+            for i in range(j):
+                t = cs[i] * hmat[i, j] + sn[i] * hmat[i + 1, j]
+                hmat[i + 1, j] = -sn[i] * hmat[i, j] + cs[i] * hmat[i + 1, j]
+                hmat[i, j] = t
+            denom = np.hypot(hmat[j, j], hmat[j + 1, j])
+            cs[j], sn[j] = hmat[j, j] / denom, hmat[j + 1, j] / denom
+            hmat[j, j], hmat[j + 1, j] = denom, 0.0
+            g[j + 1] = -sn[j] * g[j]
+            g[j] = cs[j] * g[j]
+            k = j + 1
+            iterations += 1
+            history.append(abs(g[j + 1]))
+            if abs(g[j + 1]) <= target or lucky or iterations >= control.max_iters:
+                break
+        y = np.linalg.solve(np.triu(hmat[:k, :k]), g[:k])
+        if flexible:
+            x += sum(y[i] * zbasis[i] for i in range(k))
+        else:
+            x += pc(sum(y[i] * basis[i] for i in range(k)))
+        r = b - op(x)
+        if np.linalg.norm(r) <= target:
+            break
+    return x, iterations, history

@@ -73,6 +73,49 @@ def test_run_record_reports_chebyshev_intervals(schema, schur, smoothers):
     assert "chebyshev" not in CSV_COLUMNS
 
 
+def test_run_record_reports_no_inner_schur_failures_on_a_normal_run(schema):
+    rec = run_benchmark(small_cfg())
+    assert rec.converged and rec.inner_schur_iterations > 0
+    data = json.loads(json.dumps(rec.to_dict()))
+    jsonschema.validate(data, schema)
+    assert data["inner_schur_failures"] == 0
+    assert "inner_schur_failures" not in CSV_COLUMNS
+
+
+def test_run_record_reports_forced_inner_schur_failures(schema, monkeypatch):
+    from gmgstokes import precond
+
+    monkeypatch.setattr(precond, "SCHUR_CG_MAX_ITERS", 1)
+    rec = run_benchmark(small_cfg())
+    data = json.loads(json.dumps(rec.to_dict()))
+    jsonschema.validate(data, schema)
+    # every Schur application stopped at one CG iteration; the ones that
+    # missed the inner tolerance are counted
+    assert 0 < data["inner_schur_failures"] <= data["inner_schur_iterations"]
+
+
+def test_run_record_reports_worst_coarse_cg_count(schema, monkeypatch):
+    from gmgstokes import krylov
+
+    seen = []
+    cg = krylov.cg
+
+    def counting_cg(*args, **kwargs):
+        x, stats = cg(*args, **kwargs)
+        seen.append(stats.iterations)
+        return x, stats
+
+    monkeypatch.setattr(krylov, "cg", counting_cg)
+    rec = run_benchmark(small_cfg(solver="idr", schur="vcycle"))
+    data = json.loads(json.dumps(rec.to_dict()))
+    jsonschema.validate(data, schema)
+    worst = data["coarse_cg_iters_max"]
+    assert set(worst) == {"velocity", "mass"}
+    # with the mass V-cycle as Schur solve, every CG is a coarse solve
+    assert max(worst.values()) == max(seen) > 0
+    assert "coarse_cg_iters_max" not in CSV_COLUMNS
+
+
 def test_zero_sinkers_trivial_solve():
     rec = run_benchmark(small_cfg(sinkers=0, dynamic_ratio=1.0))
     assert rec.converged

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from gmgstokes.krylov import (
     IndefiniteOperatorError,
     SolveControl,
@@ -181,6 +182,39 @@ def test_fgmres_tolerates_varying_preconditioner():
     # preconditioner changed between iterations
     claimed_g = sg.residual_history[-1] / np.linalg.norm(b)
     assert rg > 10 * claimed_g or not sg.converged
+
+
+def _laplacian_case():
+    # symmetric, driven past the restart length of 50
+    b = np.random.default_rng(8).standard_normal(400)
+    return laplacian_1d(400), b, None, SolveControl(1e-6, 60, 50)
+
+
+def _nonsymmetric_case():
+    # Jacobi-preconditioned, converging within one cycle: a restart from a
+    # residual near 1e-8 recomputes it with a cancellation error of order
+    # eps * |A| |x| / |r|, which no Gram-Schmidt variant controls
+    rng = np.random.default_rng(17)
+    mat = rng.standard_normal((80, 80)) + 15 * np.eye(80)
+    b = rng.standard_normal(80)
+    return mat, b, np.diag(1.0 / np.diag(mat)), SolveControl(1e-10, 200, 40)
+
+
+@pytest.mark.parametrize("case", [_laplacian_case, _nonsymmetric_case])
+@pytest.mark.parametrize("solver", [gmres, fgmres])
+def test_block_gram_schmidt_matches_mgs_reference(case, solver):
+    # classical Gram-Schmidt applied twice gives the counts and residual
+    # histories of modified Gram-Schmidt
+    mat, b, minv, ctl = case()
+    pc = None if minv is None else matop(minv)
+    x, stats = solver(matop(mat), pc, b, ctl)
+    x_ref, iters_ref, hist_ref = oracle.gmres_mgs(matop(mat), pc, b, ctl, solver is fgmres)
+    assert stats.iterations == iters_ref
+    if case is _laplacian_case:
+        assert stats.iterations > ctl.restart_length
+    hist, hist_ref = np.array(stats.residual_history), np.array(hist_ref)
+    assert np.max(np.abs(hist - hist_ref) / hist_ref) <= 1e-10
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
 # ---------------------------------------------------------------- idr(s)
