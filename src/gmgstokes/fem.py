@@ -13,97 +13,46 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import MeshHierarchy
+from .mesh import MeshHierarchy, lattice
 
 
 # ---------------------------------------------------------------------------
 # 1D Lagrange bases
 
 
-@dataclass(frozen=True)
-class ScalarBasis:
-    """Equispaced Lagrange basis of the given degree on [0,1]."""
-
-    degree: int
-    nodes: tuple[float, ...]
-
-    @property
-    def n(self) -> int:
-        return self.degree + 1
-
-
-_BASES = {
-    1: ScalarBasis(1, (0.0, 1.0)),
-    2: ScalarBasis(2, (0.0, 0.5, 1.0)),
-}
-
-
-def q_basis(degree: int) -> ScalarBasis:
-    if degree not in _BASES:
+def lagrange_1d(degree: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """Values and derivatives of the equispaced degree-1 or degree-2
+    Lagrange basis on [0,1] at the points ``x``; both have shape
+    ``x.shape + (degree + 1,)``.  The Q1/Q2 shape functions are products
+    of these factors over the axes."""
+    if degree not in (1, 2):
         raise ValueError(f"unsupported basis degree {degree}")
-    return _BASES[degree]
-
-
-def lagrange_value_1d(basis: ScalarBasis, i: int, x):
-    """Value of the i-th 1D Lagrange function at x (scalar or array)."""
-    if not 0 <= i < basis.n:
-        raise IndexError(f"basis index {i} out of range")
     x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    xi = basis.nodes[i]
-    for j, xj in enumerate(basis.nodes):
-        if j != i:
-            out = out * (x - xj) / (xi - xj)
+    nodes = np.arange(degree + 1) / degree
+
+    def factor(start, xi, others):
+        for xj in others:
+            start = start * (x - xj) / (xi - xj)
+        return start
+
+    vals = np.empty(x.shape + (degree + 1,))
+    ders = np.empty_like(vals)
+    for i, xi in enumerate(nodes):
+        others = np.delete(nodes, i)
+        vals[..., i] = factor(np.ones_like(x), xi, others)
+        der = np.zeros_like(x)
+        for k, xk in enumerate(others):
+            der = der + factor(np.ones_like(x) / (xi - xk), xi, np.delete(others, k))
+        ders[..., i] = der
+    return vals, ders
+
+
+def _axis_product(factors) -> np.ndarray:
+    """Product of the per-axis factors, multiplied in axis order."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
     return out
-
-
-def lagrange_grad_1d(basis: ScalarBasis, i: int, x):
-    if not 0 <= i < basis.n:
-        raise IndexError(f"basis index {i} out of range")
-    x = np.asarray(x, dtype=float)
-    xi = basis.nodes[i]
-    out = np.zeros_like(x)
-    for k, xk in enumerate(basis.nodes):
-        if k == i:
-            continue
-        term = np.ones_like(x) / (xi - xk)
-        for j, xj in enumerate(basis.nodes):
-            if j != i and j != k:
-                term = term * (x - xj) / (xi - xj)
-        out = out + term
-    return out
-
-
-def local_lattice(degree: int, dim: int) -> np.ndarray:
-    """Per-axis node indices of the local tensor basis, x fastest."""
-    n = degree + 1
-    k = np.arange(n**dim)
-    return np.stack([(k // n**a) % n for a in range(dim)], axis=1)
-
-
-def shape_eval(basis: ScalarBasis, i: int, x) -> tuple[float, np.ndarray]:
-    """Value and reference gradient of tensor-product shape function i at x.
-
-    ``x`` is a point in the reference cell [0,1]^dim; ``i`` indexes the
-    local lexicographic ordering (x fastest).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    dim = x.size
-    n_loc = basis.n**dim
-    if not 0 <= i < n_loc:
-        raise IndexError(f"local index {i} out of range for {n_loc} functions")
-    idx = local_lattice(basis.degree, dim)[i]
-    vals = np.array([lagrange_value_1d(basis, idx[a], x[a]) for a in range(dim)])
-    ders = np.array([lagrange_grad_1d(basis, idx[a], x[a]) for a in range(dim)])
-    value = float(np.prod(vals))
-    grad = np.empty(dim)
-    for b in range(dim):
-        g = ders[b]
-        for a in range(dim):
-            if a != b:
-                g = g * vals[a]
-        grad[b] = g
-    return value, grad
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +78,8 @@ def make_gauss_rule(points_per_axis: int, dim: int) -> QuadratureRule:
     xi, wi = np.polynomial.legendre.leggauss(points_per_axis)
     x1 = 0.5 * (xi + 1.0)
     w1 = 0.5 * wi
-    q = points_per_axis
-    k = np.arange(q**dim)
-    pts = np.stack([x1[(k // q**a) % q] for a in range(dim)], axis=1)
-    wts = np.ones(q**dim)
-    for a in range(dim):
-        wts = wts * w1[(k // q**a) % q]
-    return QuadratureRule(points=pts, weights=wts)
+    lat = lattice(points_per_axis, dim)
+    return QuadratureRule(points=x1[lat], weights=_axis_product(w1[lat].T))
 
 
 @dataclass(frozen=True)
@@ -150,19 +94,22 @@ _TABLE_CACHE: dict[tuple, BasisTables] = {}
 
 
 def tabulate(degree: int, dim: int, rule: QuadratureRule) -> BasisTables:
+    """Q1/Q2 shape values and reference gradients at the rule's points, as
+    products of the 1D factors over the axes; cached per rule."""
     key = (degree, dim, rule.points.tobytes())
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
-    basis = q_basis(degree)
-    n_loc = basis.n**dim
-    vals = np.empty((rule.n, n_loc))
-    grads = np.empty((rule.n, n_loc, dim))
-    for q in range(rule.n):
-        for i in range(n_loc):
-            v, g = shape_eval(basis, i, rule.points[q])
-            vals[q, i] = v
-            grads[q, i] = g
-    tables = BasisTables(values=vals, grads=grads)
+    # per-axis factors of every local function at every point, each (n_q, n_loc);
+    # take keeps them C-ordered, as BLAS sums an F-ordered table in another order
+    lat = lattice(degree + 1, dim).T
+    vals1, ders1 = lagrange_1d(degree, rule.points.T)  # (dim, n_q, degree+1)
+    vals = [np.take(v, i, axis=1) for v, i in zip(vals1, lat)]
+    ders = [np.take(d, i, axis=1) for d, i in zip(ders1, lat)]
+    grads = np.stack(
+        [_axis_product([ders[b]] + [vals[a] for a in range(dim) if a != b]) for b in range(dim)],
+        axis=-1,
+    )
+    tables = BasisTables(values=_axis_product(vals), grads=grads)
     _TABLE_CACHE[key] = tables
     return tables
 
@@ -209,21 +156,13 @@ class DofMap:
 
 
 def _grid_boundary_indices(m: int, dim: int) -> np.ndarray:
-    k = np.arange(m**dim)
-    mask = np.zeros(m**dim, dtype=bool)
-    for a in range(dim):
-        c = (k // m**a) % m
-        mask |= (c == 0) | (c == m - 1)
-    return np.nonzero(mask)[0].astype(np.int64)
+    c = lattice(m, dim)
+    return np.nonzero(np.any((c == 0) | (c == m - 1), axis=1))[0]
 
 
 def _cell_map(lattices: np.ndarray, degree: int, m: int, dim: int) -> np.ndarray:
-    loc = local_lattice(degree, dim)  # (n_loc, dim)
-    glob = degree * lattices[:, None, :] + loc[None, :, :]
-    idx = np.zeros(glob.shape[:2], dtype=np.int64)
-    for a in range(dim):
-        idx += glob[..., a] * m**a
-    return idx
+    glob = degree * lattices[:, None, :] + lattice(degree + 1, dim)[None, :, :]
+    return glob @ m ** np.arange(dim)
 
 
 def distribute_dofs(mesh: MeshHierarchy) -> DofMap:
@@ -283,7 +222,7 @@ class BlockVector:
 # Quadrature points
 
 
-def cell_quad_points(mesh: MeshHierarchy, level: int, rule: QuadratureRule) -> np.ndarray:
-    """Physical quadrature points of every cell, shape (n_cells, n_q, dim)."""
-    lat = mesh.cell_lattices(level)
-    return (lat[:, None, :] + rule.points[None, :, :]) * mesh.h(level)
+def cell_quad_points(lattices: np.ndarray, h: float, rule: QuadratureRule) -> np.ndarray:
+    """Physical quadrature points of the cells with the given lattice
+    coordinates and side h, shape (n_cells, n_q, dim)."""
+    return (lattices[:, None, :] + rule.points[None, :, :]) * h

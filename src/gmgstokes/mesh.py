@@ -14,6 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def lattice(m: int, dim: int) -> np.ndarray:
+    """Digits of the points of the m**dim lattice in lexicographic order
+    with x fastest: row k holds (k % m, (k // m) % m, ...), shape (m**dim, dim)."""
+    k = np.arange(m**dim)
+    return np.stack([(k // m**a) % m for a in range(dim)], axis=1)
+
+
 @dataclass(frozen=True)
 class MeshHierarchy:
     dim: int
@@ -36,9 +43,7 @@ class MeshHierarchy:
 
     def cell_lattices(self, level: int) -> np.ndarray:
         """Integer lattice coordinates of every cell, shape (n_cells, dim)."""
-        n = self.cells_per_axis(level)
-        k = np.arange(self.n_cells(level))
-        return np.stack([(k // n**a) % n for a in range(self.dim)], axis=1)
+        return lattice(self.cells_per_axis(level), self.dim)
 
     def _check_level(self, level: int) -> None:
         if not 0 <= level < self.n_levels:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import krylov
-from .fem import lagrange_value_1d, q_basis
+from .fem import lagrange_1d
 from .mesh import MeshHierarchy
 from .operators import StokesSystem, apply_A, apply_Mp, compute_diagonal
 
@@ -167,14 +167,8 @@ class TransferPlan:
 
 def _embedding_1d(degree: int) -> np.ndarray:
     """E[t][i, j] = value of coarse function j at fine node i of child t."""
-    basis = q_basis(degree)
-    nodes = np.asarray(basis.nodes)
-    out = np.empty((2, basis.n, basis.n))
-    for t in range(2):
-        pts = (t + nodes) / 2.0
-        for j in range(basis.n):
-            out[t, :, j] = lagrange_value_1d(basis, j, pts)
-    return out
+    nodes = np.arange(degree + 1) / degree
+    return lagrange_1d(degree, (np.arange(2)[:, None] + nodes) / 2.0)[0]
 
 
 def build_transfer_plan(mesh: MeshHierarchy, degree: int) -> TransferPlan:

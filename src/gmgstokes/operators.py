@@ -32,7 +32,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import BlockVector, DofMap, LevelDofs, QuadratureRule, make_gauss_rule, tabulate
+from .fem import (
+    BlockVector,
+    DofMap,
+    LevelDofs,
+    QuadratureRule,
+    cell_quad_points,
+    make_gauss_rule,
+    tabulate,
+)
 from .mesh import MeshHierarchy
 from .viscosity import SinkerConfig, ViscosityField, forcing
 
@@ -228,7 +236,7 @@ def assemble_rhs_function(
     velocity entries are zeroed."""
     rule = rule or ctx.rule
     q2 = tabulate(2, ctx.dim, rule)
-    pts = (ctx.lattices[:, None, :] + rule.points[None, :, :]) * ctx.h
+    pts = cell_quad_points(ctx.lattices, ctx.h, rule)
     fv = np.asarray(f(pts.reshape(-1, ctx.dim))).reshape(ctx.n_cells, rule.n, ctx.dim)
     fw = (fv * rule.weights[None, :, None]).transpose(0, 2, 1)  # (nc, dim, n_q)
     local = (fw @ q2.values).reshape(ctx.n_cells, -1) * ctx.h**ctx.dim

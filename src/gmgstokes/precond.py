@@ -118,13 +118,13 @@ class StokesPreconditioner:
         self.inner_failures = 0
         ctx = system.active
 
+        if "exact_inner_solve" in (cfg.a_inv, cfg.s_inv):
+            self._a_chol = np.linalg.cholesky(materialize(lambda u: apply_A(ctx, u), ctx.n_u))
         if cfg.a_inv == "gmg_vcycle":
             self.velocity_mg = velocity_mg or build_velocity_multigrid(system, self.params)
             self._a_solve = self.velocity_mg.vcycle
         else:
             self.velocity_mg = None
-            amat = materialize(lambda u: apply_A(ctx, u), ctx.n_u)
-            self._a_chol = np.linalg.cholesky(amat)
             self._a_solve = self._solve_dense_a
 
         self.mass_mg = None
@@ -140,9 +140,6 @@ class StokesPreconditioner:
         elif cfg.s_inv == "diag_mass":
             self._mp_diag = compute_diagonal(ctx, "Mp")
         else:  # exact_inner_solve
-            if not hasattr(self, "_a_chol"):
-                amat = materialize(lambda u: apply_A(ctx, u), ctx.n_u)
-                self._a_chol = np.linalg.cholesky(amat)
             bt = materialize(lambda p: apply_Bt(ctx, p), ctx.n_p, ctx.n_u)  # B^T columns
             schur = bt.T @ self._solve_dense_a(bt)
             # the constant pressure spans the kernel; invert on its complement

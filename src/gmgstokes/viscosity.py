@@ -130,7 +130,7 @@ def average_active_viscosity(
     The mean is unweighted: value = n_q / sum_k 1/mu(x_k).
     """
     level = mesh.active_level
-    pts = cell_quad_points(mesh, level, rule).reshape(-1, mesh.dim)
+    pts = cell_quad_points(mesh.cell_lattices(level), mesh.h(level), rule).reshape(-1, mesh.dim)
     vals = mu(pts, cfg).reshape(mesh.n_cells(level), rule.n)
     if np.any(vals <= 0.0):
         raise ValueError("viscosity must be strictly positive at quadrature points")

@@ -5,31 +5,73 @@ matrix by quadrature, scatter into a dense global matrix, then impose the
 identity-on-constrained-rows convention.  Deliberately structured unlike
 the production gather/GEMM/scatter path.
 
-Also pointwise evaluation and nodal interpolation of scalar FE functions,
-the reference the transfer and interpolation tests compare against.
+The shape functions are evaluated one point and one function at a time
+from the product form of the 1D Lagrange polynomials, independently of
+the production tables.  Also pointwise evaluation and nodal interpolation
+of scalar FE functions, the reference the transfer and interpolation tests
+compare against.
 """
 
 import numpy as np
 
-from gmgstokes.fem import (
-    LevelDofs,
-    QuadratureRule,
-    lagrange_value_1d,
-    local_lattice,
-    q_basis,
-    shape_eval,
-)
+from gmgstokes.fem import LevelDofs, QuadratureRule
 from gmgstokes.mesh import MeshHierarchy
 
 
+def lagrange_nodes(degree: int) -> tuple[float, ...]:
+    return {1: (0.0, 1.0), 2: (0.0, 0.5, 1.0)}[degree]
+
+
+def lagrange_value(nodes, i: int, x):
+    """Product-form 1D Lagrange function i of ``nodes`` at x."""
+    out = np.ones_like(np.asarray(x, dtype=float))
+    for j, xj in enumerate(nodes):
+        if j != i:
+            out = out * (x - xj) / (nodes[i] - xj)
+    return out
+
+
+def lagrange_derivative(nodes, i: int, x):
+    """Derivative of :func:`lagrange_value`: the sum over k != i of the
+    products that leave out factor k."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for k, xk in enumerate(nodes):
+        if k == i:
+            continue
+        term = np.ones_like(x) / (nodes[i] - xk)
+        for j, xj in enumerate(nodes):
+            if j != i and j != k:
+                term = term * (x - xj) / (nodes[i] - xj)
+        out = out + term
+    return out
+
+
+def shape_function(degree: int, i: int, x):
+    """Value and reference gradient of tensor-product shape function i
+    (local lexicographic order, x fastest) at one point x of [0,1]^dim."""
+    nodes = lagrange_nodes(degree)
+    n = len(nodes)
+    dim = len(x)
+    idx = [(i // n**a) % n for a in range(dim)]
+    vals = [lagrange_value(nodes, idx[a], x[a]) for a in range(dim)]
+    ders = [lagrange_derivative(nodes, idx[a], x[a]) for a in range(dim)]
+    value = float(np.prod(vals))
+    grad = np.array(
+        [np.prod([ders[b]] + [vals[a] for a in range(dim) if a != b]) for b in range(dim)]
+    )
+    return value, grad
+
+
 def local_basis(degree: int, dim: int, rule: QuadratureRule):
-    basis = q_basis(degree)
-    n_loc = basis.n**dim
+    """Shape values (n_q, n_loc) and gradients (n_q, n_loc, dim), one point
+    and one function at a time."""
+    n_loc = (degree + 1) ** dim
     vals = np.empty((rule.n, n_loc))
     grads = np.empty((rule.n, n_loc, dim))
     for q in range(rule.n):
         for i in range(n_loc):
-            vals[q, i], grads[q, i] = shape_eval(basis, i, rule.points[q])
+            vals[q, i], grads[q, i] = shape_function(degree, i, rule.points[q])
     return vals, grads
 
 
@@ -164,15 +206,9 @@ def evaluate_scalar(
     for a in range(dim):
         cell += lat[:, a] * n**a
     cmap = dofs.q2_map if degree == 2 else dofs.q1_map
-    basis = q_basis(degree)
-    ax_vals = [
-        np.stack([lagrange_value_1d(basis, i, loc[:, a]) for i in range(basis.n)], axis=1)
-        for a in range(dim)
-    ]
-    lidx = local_lattice(degree, dim)
-    vals = np.ones((len(points), len(lidx)))
-    for a in range(dim):
-        vals *= ax_vals[a][:, lidx[:, a]]
+    vals = np.array(
+        [[shape_function(degree, i, x)[0] for i in range(cmap.shape[1])] for x in loc]
+    )
     return np.sum(coeffs[cmap[cell]] * vals, axis=1)
 
 

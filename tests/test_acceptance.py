@@ -337,7 +337,7 @@ def manufactured_errors(n_levels):
     q2 = tabulate(2, 2, err_rule)
     q1 = tabulate(1, 2, err_rule)
     ctx = system.active
-    pts = cell_quad_points(mesh, mesh.active_level, err_rule).reshape(-1, 2)
+    pts = cell_quad_points(ctx.lattices, ctx.h, err_rule).reshape(-1, 2)
     h = ctx.h
     eu = 0.0
     for a, name in ((0, "ux"), (1, "uy")):

@@ -3,42 +3,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import evaluate_scalar, interpolate_scalar, support_points
+from oracle import (
+    evaluate_scalar,
+    interpolate_scalar,
+    lagrange_nodes,
+    lagrange_value,
+    local_basis,
+    support_points,
+)
 
 from gmgstokes.fem import (
     BlockVector,
+    QuadratureRule,
+    _grid_boundary_indices,
     distribute_dofs,
-    lagrange_value_1d,
+    lagrange_1d,
     make_gauss_rule,
-    q_basis,
-    shape_eval,
+    tabulate,
 )
 from gmgstokes.mesh import build_hierarchy
 
 
-# -- 1D Lagrange oracle used to pin the tensor-product evaluation ----------
-
-
-def lagrange_oracle(nodes, i, x):
-    """Direct product-form Lagrange polynomial."""
-    val = 1.0
-    for j, xj in enumerate(nodes):
-        if j != i:
-            val *= (x - xj) / (nodes[i] - xj)
-    return val
+def point_rule(points) -> QuadratureRule:
+    """Unit-weight rule on the given reference points, for tabulating
+    shape functions at arbitrary points."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    return QuadratureRule(points=points, weights=np.ones(len(points)))
 
 
 def test_kronecker_property_q1():
-    b = q_basis(1)
-    assert shape_eval(b, 0, [0.0])[0] == 1.0
-    assert shape_eval(b, 0, [1.0])[0] == 0.0
+    vals, _ = lagrange_1d(1, [0.0, 1.0])
+    assert vals[0, 0] == 1.0
+    assert vals[1, 0] == 0.0
 
 
 def test_q2_values_at_quarter_point():
-    b = q_basis(2)
-    vals = [float(lagrange_value_1d(b, i, 0.25)) for i in range(3)]
+    vals = list(lagrange_1d(2, 0.25)[0])
     assert vals == pytest.approx([0.375, 0.75, -0.125], abs=1e-15)
-    oracle = [lagrange_oracle(b.nodes, i, 0.25) for i in range(3)]
+    oracle = [float(lagrange_value(lagrange_nodes(2), i, 0.25)) for i in range(3)]
     assert vals == pytest.approx(oracle, abs=1e-15)
 
 
@@ -49,21 +51,28 @@ def test_q2_values_at_quarter_point():
 )
 @settings(max_examples=40, deadline=None)
 def test_partition_of_unity(degree, dim, coords):
-    b = q_basis(degree)
-    x = np.array(coords[:dim])
-    total = 0.0
-    grad = np.zeros(dim)
-    for i in range((degree + 1) ** dim):
-        v, g = shape_eval(b, i, x)
-        total += v
-        grad += g
+    tables = tabulate(degree, dim, point_rule(coords[:dim]))
+    total = tables.values[0].sum()
+    grad = tables.grads[0].sum(axis=0)
     assert total == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(grad) == pytest.approx(0.0, abs=1e-11)
 
 
-def test_shape_eval_rejects_bad_index():
-    with pytest.raises(IndexError):
-        shape_eval(q_basis(2), 9, [0.5, 0.5])
+def test_lagrange_1d_rejects_degree_3():
+    with pytest.raises(ValueError):
+        lagrange_1d(3, [0.5])
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tabulate_matches_pointwise_oracle(dim, degree):
+    rng = np.random.default_rng(10 * dim + degree)
+    for rule in (make_gauss_rule(3, dim), point_rule(rng.random((11, dim)))):
+        tables = tabulate(degree, dim, rule)
+        vals, grads = local_basis(degree, dim, rule)
+        assert tables.values.shape == vals.shape and tables.grads.shape == grads.shape
+        assert np.abs(tables.values - vals).max() <= 1e-14
+        assert np.abs(tables.grads - grads).max() <= 1e-14
 
 
 def test_midpoint_rule():
@@ -89,9 +98,7 @@ def test_cellwise_quadrature_volume(rule2d):
     # unity) over one cell gives exactly h^dim
     mesh = build_hierarchy(2, 3)
     h = mesh.h(2)
-    vals = np.array(
-        [[shape_eval(q_basis(2), i, pt)[0] for i in range(9)] for pt in rule2d.points]
-    )
+    vals = tabulate(2, 2, rule2d).values
     integral = np.sum(rule2d.weights * vals.sum(axis=1)) * h**2
     assert integral == pytest.approx(h**2, rel=1e-15)
 
@@ -119,11 +126,17 @@ def test_dof_counts_3d_level2():
 
 
 def test_dirichlet_set_matches_boundary_support_points():
-    dm = distribute_dofs(build_hierarchy(2, 2))
-    ld = dm.levels[1]
-    pts = support_points(2, 1, 2)
-    on_boundary = np.nonzero(np.any((pts == 0.0) | (pts == 1.0), axis=1))[0]
-    assert np.array_equal(np.sort(ld.dirichlet_scalar), on_boundary)
+    for dim in (2, 3):
+        dm = distribute_dofs(build_hierarchy(dim, 3))
+        for level in (1, 2):
+            for degree in (1, 2):
+                pts = support_points(dim, level, degree)
+                on_boundary = np.nonzero(np.any((pts == 0.0) | (pts == 1.0), axis=1))[0]
+                if degree == 2:
+                    found = dm.levels[level].dirichlet_scalar
+                else:
+                    found = _grid_boundary_indices(2**level + 1, dim)
+                assert np.array_equal(np.sort(found), on_boundary), (dim, level, degree)
 
 
 def test_continuity_across_shared_face():
@@ -134,15 +147,12 @@ def test_continuity_across_shared_face():
     ld = dm.levels[1]
     rng = np.random.default_rng(0)
     coeffs = rng.standard_normal(ld.n_scalar)
-    basis = q_basis(2)
     # face x = 0.5 between cells (0,0) and (1,0): evaluate at (0.5, t)
     for t in np.linspace(0.0, 0.5, 7):
-        left = right = 0.0
-        for i in range(9):
-            v_l, _ = shape_eval(basis, i, [1.0, 2 * t])
-            v_r, _ = shape_eval(basis, i, [0.0, 2 * t])
-            left += coeffs[ld.q2_map[0, i]] * v_l
-            right += coeffs[ld.q2_map[1, i]] * v_r
+        v_l = tabulate(2, 2, point_rule([1.0, 2 * t])).values[0]
+        v_r = tabulate(2, 2, point_rule([0.0, 2 * t])).values[0]
+        left = coeffs[ld.q2_map[0]] @ v_l
+        right = coeffs[ld.q2_map[1]] @ v_r
         assert left == pytest.approx(right, abs=1e-13)
 
 

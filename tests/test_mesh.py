@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmgstokes.mesh import build_hierarchy
+from gmgstokes.mesh import build_hierarchy, lattice
 
 
 def test_single_level_base_case():
@@ -25,6 +25,16 @@ def test_total_cells_geometric_series():
     assert total == 341
     # cross-check by enumerating lattices
     assert sum(len(mesh.cell_lattices(l)) for l in range(5)) == 341
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_lattice_digits_round_trip(m, dim):
+    digits = lattice(m, dim)
+    assert digits.shape == (m**dim, dim)
+    assert digits.min() >= 0 and digits.max() <= m - 1
+    index = sum(digits[:, a] * m**a for a in range(dim))
+    assert np.array_equal(index, np.arange(m**dim))
 
 
 @pytest.mark.parametrize("dim,n_levels", [(0, 1), (1, 2), (4, 2), (2, 0), (3, -1)])

@@ -4,8 +4,8 @@ import pytest
 import oracle
 from conftest import constant_viscosity, make_system, random_viscosity
 from oracle import interpolate_scalar
-from gmgstokes.fem import BlockVector, local_lattice
-from gmgstokes.mesh import build_hierarchy
+from gmgstokes.fem import BlockVector
+from gmgstokes.mesh import build_hierarchy, lattice
 from gmgstokes.operators import (
     apply_A,
     apply_B,
@@ -73,7 +73,7 @@ def test_element_matrix_invariants(dim):
     null = vecs[:, np.abs(lam) <= tol]
     assert null.shape[1] == n_rigid
     # rigid motions sampled at the reference support points, component-major
-    x = local_lattice(2, dim) / 2.0
+    x = lattice(3, dim) / 2.0
     rigid = []
     for a in range(dim):
         t = np.zeros((dim, len(x)))
