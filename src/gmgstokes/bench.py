@@ -200,10 +200,11 @@ def _flops_per_apply_A(ctx) -> float:
     return 2.0 * nc * n * n + 2.0 * nc * n
 
 
-def memory_report(problem: dict) -> dict:
+def memory_report(system, precond, peak: int) -> dict:
     """Instrumented byte counts per category; solver vector bytes follow
-    peak_vector_count x vector length x 8."""
-    system = problem["system"]
+    ``peak`` (the solver's peak_vector_count) x vector length x 8.  The
+    multigrid bytes cover the hierarchies' transfers and smoothers and the
+    level viscosities, not the Schur mass-CG smoother."""
     n = system.n_dofs
     mesh_bytes = sum(ctx.lattices.nbytes for ctx in system.contexts)
     # scalar maps, plus what the operators hold: each level's combined
@@ -216,15 +217,14 @@ def memory_report(problem: dict) -> dict:
     cons_bytes = sum(ld.dirichlet_scalar.nbytes for ld in system.dofmap.levels)
     cons_bytes += sum(ctx.u_constrained.nbytes for ctx in system.contexts)
     mg_bytes = 0
-    for mg in (problem.get("velocity_mg"), problem.get("mass_mg")):
+    for mg in (precond.velocity_mg, precond.mass_mg):
         if mg is None:
             continue
         mg_bytes += sum(m.nbytes for m in mg.plan.matrices if m is not None)
-        mg_bytes += sum(lv.work.nbytes for lv in mg.levels)
+        mg_bytes += sum(lv.nbytes for lv in mg.levels)
     for vals in system.visc.values:
         if vals is not None:
             mg_bytes += vals.nbytes
-    peak = problem["stats"].peak_vector_count if "stats" in problem else 0
     return {
         "mesh_bytes": int(mesh_bytes),
         "dofmap_bytes": int(dof_bytes),
@@ -251,7 +251,7 @@ def chebyshev_report(precond) -> dict:
     if precond.mass_mg is not None:
         out["mass"] = [entry(lv.lam_max) for lv in precond.mass_mg.levels]
     if precond.cfg.s_inv == "cg_mass":
-        out["schur_mass_cg"] = entry(precond.mp_lam)
+        out["schur_mass_cg"] = entry(precond.mp_smoother.lam_max)
     return out
 
 
@@ -262,12 +262,6 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
     from . import krylov
     from .fem import BlockVector, distribute_dofs, make_gauss_rule
     from .mesh import build_hierarchy
-    from .multigrid import (
-        ChebyshevParams,
-        build_mass_multigrid,
-        build_transfer_plan,
-        build_velocity_multigrid,
-    )
     from .operators import StokesSystem, assemble_rhs
     from .precond import PrecondConfig, StokesPreconditioner, normalize_pressure
     from .viscosity import average_active_viscosity, restrict_viscosity, sinker_config
@@ -278,8 +272,6 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
     t0 = time.perf_counter()
     mesh = build_hierarchy(cfg.dim, cfg.levels + 1)
     dofmap = distribute_dofs(mesh)
-    q2_plan = build_transfer_plan(mesh, 2)
-    q1_plan = build_transfer_plan(mesh, 1) if cfg.schur == "vcycle" else None
     t_setup = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -297,12 +289,9 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
     rule = make_gauss_rule(3, cfg.dim)
     visc = restrict_viscosity(average_active_viscosity(mesh, sk, rule), mesh)
     system = StokesSystem(mesh, dofmap, visc, rule)
-    params = ChebyshevParams()
     pcfg = PrecondConfig(shape=cfg.precond_shape, s_inv=SCHUR_MAP[cfg.schur])
     pcfg.validate_solver(cfg.solver)
-    velocity_mg = build_velocity_multigrid(system, params, q2_plan)
-    mass_mg = build_mass_multigrid(system, params, q1_plan) if q1_plan else None
-    precond = StokesPreconditioner(pcfg, system, params, velocity_mg, mass_mg)
+    precond = StokesPreconditioner(pcfg, system)
     b = assemble_rhs(system.active, sk)
     b = normalize_pressure(b, system.pressure_weights())
     t_assemble = time.perf_counter() - t1
@@ -328,7 +317,7 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
 
     # flop model for the viscous-block work inside the V-cycles, taken
     # before any further operator applications
-    vcycles = velocity_mg.n_vcycles
+    vcycles = precond.velocity_mg.n_vcycles
     mg_flops = 0.0
     for ctx in system.contexts:
         before = counters_before[id(ctx)].get("apply_A", 0)
@@ -363,7 +352,8 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
         claimed = cfg.reduction
         if record.reduction_achieved > 2.0 * claimed:
             record.flag = (record.flag + ";residual_check_failed").lstrip(";")
-    if any(mg is not None and mg.coarse_unconverged for mg in (velocity_mg, mass_mg)):
+    hierarchies = {"velocity": precond.velocity_mg, "mass": precond.mass_mg}
+    if any(mg is not None and mg.coarse_unconverged for mg in hierarchies.values()):
         record.flag = (record.flag + ";coarse_solve_unconverged").lstrip(";")
 
     record.timings = {
@@ -373,14 +363,10 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
         "total_seconds": t_setup + t_assemble + t_solve,
         "threads": cfg.threads,
     }
-    record.memory = memory_report(
-        {"system": system, "velocity_mg": velocity_mg, "mass_mg": mass_mg, "stats": stats}
-    )
+    record.memory = memory_report(system, precond, stats.peak_vector_count)
     record.chebyshev = chebyshev_report(precond)
     record.coarse_cg_iters_max = {
-        kind: mg.coarse_iters_max
-        for kind, mg in (("velocity", velocity_mg), ("mass", mass_mg))
-        if mg is not None
+        kind: mg.coarse_iters_max for kind, mg in hierarchies.items() if mg is not None
     }
     record.environment = {"threads": {var: os.environ.get(var) for var in THREAD_VARS}}
 

@@ -213,10 +213,6 @@ class BlockVector:
     def from_flat(cls, x: np.ndarray, n_u: int) -> "BlockVector":
         return cls(x[:n_u], x[n_u:])
 
-    @classmethod
-    def zeros(cls, n_u: int, n_p: int) -> "BlockVector":
-        return cls(np.zeros(n_u), np.zeros(n_p))
-
 
 # ---------------------------------------------------------------------------
 # Quadrature points

@@ -14,14 +14,14 @@ preconditioner for CG as well as GMRES-type methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import krylov
 from .fem import lagrange_1d
 from .mesh import MeshHierarchy
-from .operators import StokesSystem, apply_A, apply_Mp, compute_diagonal
+from .operators import LevelOperatorContext, StokesSystem, apply_A, apply_Mp, compute_diagonal
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,7 @@ class ChebyshevParams:
 
 
 _LANCZOS_SEED = 1789
+_NO_DOFS = np.empty(0, dtype=np.int64)
 
 
 def estimate_lambda_max(op, diag, iters: int = 10, safety: float = 1.2, seed: int = _LANCZOS_SEED):
@@ -87,13 +88,18 @@ def estimate_lambda_max(op, diag, iters: int = 10, safety: float = 1.2, seed: in
     return safety * lam
 
 
-class ChebyshevWork:
-    """What one Chebyshev smoother keeps between applications: the inverse
-    of the operator diagonal and three full-length work vectors (residual
-    ``r``, update ``d`` and product scratch ``t``), so that smoothing
-    allocates nothing but its result."""
+class MGLevel:
+    """A smoothed operator with its eigenvalue estimate ``lam_max``, the
+    inverse of its diagonal and three work vectors (residual ``r``, update
+    ``d``, product scratch ``t``), so that smoothing allocates nothing but
+    its result; as a V-cycle level, also the constrained indices of its
+    scalar space and the number of components that share them."""
 
-    def __init__(self, diag: np.ndarray):
+    def __init__(self, op, diag, lam_max: float, scalar_constrained=_NO_DOFS, components: int = 1):
+        self.op = op
+        self.lam_max = lam_max
+        self.scalar_constrained = scalar_constrained
+        self.components = components
         self.inv_diag = 1.0 / diag
         self.r, self.d, self.t = (np.empty(diag.size) for _ in range(3))
 
@@ -101,21 +107,25 @@ class ChebyshevWork:
     def nbytes(self) -> int:
         return self.inv_diag.nbytes + self.r.nbytes + self.d.nbytes + self.t.nbytes
 
+    def cg(self, params: ChebyshevParams, b, control: krylov.SolveControl):
+        """CG on the level operator, preconditioned by one smoothing step
+        from zero; returns ``krylov.cg``'s (x, stats)."""
+        return krylov.cg(self.op, lambda r: chebyshev_smooth(params, self, r), b, control)
 
-def chebyshev_smooth(params: ChebyshevParams, op, work: ChebyshevWork, b, x0=None, lam_max=None):
+
+def chebyshev_smooth(params: ChebyshevParams, level: MGLevel, b, x0=None):
     """Fixed Chebyshev polynomial iteration on the Jacobi-preconditioned
-    operator over the interval [lam_max/alpha_low, lam_max]; alpha_low
-    plays the part of deal.II's ``smoothing_range``.
+    level operator over the interval [lam_max/alpha_low, lam_max];
+    alpha_low plays the part of deal.II's ``smoothing_range``.
 
     The error propagator is the degree-``params.degree`` shifted Chebyshev
     polynomial, so the map (b, x0) -> x is linear and, for symmetric op
     and x0 = 0, a symmetric positive definite preconditioner.  The
-    residual and update live in ``work``; ``b`` and ``x0`` are only read,
-    and the returned x is a new array.
+    residual and update live in the level's buffers; ``b`` and ``x0`` are
+    only read, and the returned x is a new array.
     """
-    if lam_max is None:
-        raise ValueError("lam_max must be provided (see estimate_lambda_max)")
-    inv_d, r, d, t = work.inv_diag, work.r, work.d, work.t
+    op, lam_max = level.op, level.lam_max
+    inv_d, r, d, t = level.inv_diag, level.r, level.d, level.t
     low = lam_max / params.alpha_low
     theta = 0.5 * (lam_max + low)
     delta = 0.5 * (lam_max - low)
@@ -144,6 +154,19 @@ def chebyshev_smooth(params: ChebyshevParams, op, work: ChebyshevWork, b, x0=Non
         x += d
         rho = rho_new
     return x
+
+
+def smoother(ctx: LevelOperatorContext, which: str, params: ChebyshevParams) -> MGLevel:
+    """The Chebyshev smoother of one level's viscous block (``which="A"``,
+    with the level's Dirichlet set on each of dim components) or pressure
+    mass matrix (``"Mp"``): its exact diagonal and Lanczos estimate."""
+    apply = apply_A if which == "A" else apply_Mp
+    op = lambda v: apply(ctx, v)
+    diag = compute_diagonal(ctx, which)
+    lam = estimate_lambda_max(op, diag, params.eig_estimate_iters, params.alpha_high)
+    if which == "A":
+        return MGLevel(op, diag, lam, ctx.dofs.dirichlet_scalar, ctx.dim)
+    return MGLevel(op, diag, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -224,40 +247,29 @@ def restrict(plan: TransferPlan, level: int, r_fine):
 # The V-cycle
 
 
-@dataclass
-class MGLevel:
-    op: object  # callable vector -> vector
-    work: ChebyshevWork  # the smoother's inverse diagonal and buffers
-    lam_max: float
-    scalar_constrained: np.ndarray  # indices in the scalar space (may be empty)
-    components: int
+# iteration cap and residual reduction of the CG solve on the coarsest level
+COARSE_CG_TOL = 1e-12
+COARSE_CG_MAX_ITERS = 100
 
 
 class Multigrid:
     """V-cycle over a list of levels sharing one scalar transfer plan."""
 
-    def __init__(
-        self,
-        levels: list[MGLevel],
-        plan: TransferPlan,
-        params: ChebyshevParams,
-        coarse_tol: float = 1e-12,
-        coarse_max_iters: int = 100,
-    ):
+    def __init__(self, levels: list[MGLevel], plan: TransferPlan, params: ChebyshevParams):
         self.levels = levels
         self.plan = plan
         self.params = params
         self.coarse_control = krylov.SolveControl(
-            reduction_target=coarse_tol, max_iters=coarse_max_iters, restart_length=coarse_max_iters
+            reduction_target=COARSE_CG_TOL,
+            max_iters=COARSE_CG_MAX_ITERS,
+            restart_length=COARSE_CG_MAX_ITERS,
         )
         self.n_vcycles = 0
         self.coarse_unconverged = 0
         self.coarse_iters_max = 0
 
     def _coarse_solve(self, b: np.ndarray) -> np.ndarray:
-        lv = self.levels[0]
-        pc = lambda r: chebyshev_smooth(self.params, lv.op, lv.work, r, lam_max=lv.lam_max)
-        x, stats = krylov.cg(lv.op, pc, b, self.coarse_control)
+        x, stats = self.levels[0].cg(self.params, b, self.coarse_control)
         self.coarse_unconverged += not stats.converged
         self.coarse_iters_max = max(self.coarse_iters_max, stats.iterations)
         return x
@@ -270,59 +282,28 @@ class Multigrid:
             return self._coarse_solve(b)
         lv = self.levels[level]
         comp = lv.components
-        x = chebyshev_smooth(self.params, lv.op, lv.work, b, lam_max=lv.lam_max)
+        x = chebyshev_smooth(self.params, lv, b)
         r = (b - lv.op(x)).reshape(comp, -1)
         r[:, lv.scalar_constrained] = 0.0
         rc = restrict(self.plan, level, r)
         rc[:, self.levels[level - 1].scalar_constrained] = 0.0
         ec = self.vcycle(rc.reshape(-1), level - 1)
         x += prolongate(self.plan, level, ec.reshape(comp, -1), lv.scalar_constrained).reshape(-1)
-        return chebyshev_smooth(self.params, lv.op, lv.work, b, x0=x, lam_max=lv.lam_max)
+        return chebyshev_smooth(self.params, lv, b, x0=x)
 
 
 def build_velocity_multigrid(
-    system: StokesSystem,
-    params: ChebyshevParams | None = None,
-    plan: TransferPlan | None = None,
+    system: StokesSystem, params: ChebyshevParams | None = None
 ) -> Multigrid:
     """GMG hierarchy for the viscous block, smoothing the fully coupled
     strain-rate operator on every level."""
     params = params or ChebyshevParams()
-    plan = plan or build_transfer_plan(system.mesh, 2)
-    levels = []
-    for ctx in system.contexts:
-        op = lambda u, ctx=ctx: apply_A(ctx, u)
-        diag = compute_diagonal(ctx, "A")
-        lam = estimate_lambda_max(op, diag, params.eig_estimate_iters, params.alpha_high)
-        levels.append(
-            MGLevel(
-                op=op,
-                work=ChebyshevWork(diag),
-                lam_max=lam,
-                scalar_constrained=ctx.dofs.dirichlet_scalar,
-                components=system.mesh.dim,
-            )
-        )
-    return Multigrid(levels, plan, params)
+    plan = build_transfer_plan(system.mesh, 2)
+    return Multigrid([smoother(ctx, "A", params) for ctx in system.contexts], plan, params)
 
 
-def build_mass_multigrid(
-    system: StokesSystem,
-    params: ChebyshevParams | None = None,
-    plan: TransferPlan | None = None,
-) -> Multigrid:
+def build_mass_multigrid(system: StokesSystem, params: ChebyshevParams | None = None) -> Multigrid:
     """GMG hierarchy for the viscosity-weighted pressure mass matrix."""
     params = params or ChebyshevParams()
-    plan = plan or build_transfer_plan(system.mesh, 1)
-    empty = np.empty(0, dtype=np.int64)
-    levels = []
-    for ctx in system.contexts:
-        op = lambda p, ctx=ctx: apply_Mp(ctx, p)
-        diag = compute_diagonal(ctx, "Mp")
-        lam = estimate_lambda_max(op, diag, params.eig_estimate_iters, params.alpha_high)
-        levels.append(
-            MGLevel(
-                op=op, work=ChebyshevWork(diag), lam_max=lam, scalar_constrained=empty, components=1
-            )
-        )
-    return Multigrid(levels, plan, params)
+    plan = build_transfer_plan(system.mesh, 1)
+    return Multigrid([smoother(ctx, "Mp", params) for ctx in system.contexts], plan, params)

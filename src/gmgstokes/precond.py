@@ -24,22 +24,8 @@ import numpy as np
 
 from . import krylov
 from .fem import BlockVector
-from .multigrid import (
-    ChebyshevParams,
-    ChebyshevWork,
-    Multigrid,
-    build_mass_multigrid,
-    build_velocity_multigrid,
-    chebyshev_smooth,
-    estimate_lambda_max,
-)
-from .operators import (
-    StokesSystem,
-    apply_A,
-    apply_Bt,
-    apply_Mp,
-    compute_diagonal,
-)
+from .multigrid import ChebyshevParams, build_mass_multigrid, build_velocity_multigrid, smoother
+from .operators import StokesSystem, apply_A, apply_Bt, compute_diagonal
 
 
 class ConfigError(ValueError):
@@ -49,8 +35,9 @@ class ConfigError(ValueError):
 A_INV_CHOICES = ("gmg_vcycle", "exact_inner_solve")
 S_INV_CHOICES = ("cg_mass", "vcycle_mass", "diag_mass", "exact_inner_solve")
 SHAPES = ("triangular", "diagonal")
-# iteration cap of the inner Schur mass CG; an application that reaches it
-# counts as an inner failure
+# residual reduction and iteration cap of the inner Schur mass CG; an
+# application that reaches the cap counts as an inner failure
+SCHUR_CG_TOL = 1e-2
 SCHUR_CG_MAX_ITERS = 100
 
 
@@ -59,7 +46,6 @@ class PrecondConfig:
     shape: str = "triangular"
     a_inv: str = "gmg_vcycle"
     s_inv: str = "cg_mass"
-    cg_mass_tol: float = 1e-2
 
     def __post_init__(self):
         if self.shape not in SHAPES:
@@ -103,17 +89,10 @@ def normalize_pressure(x: BlockVector, weights: np.ndarray) -> BlockVector:
 class StokesPreconditioner:
     """Configured block preconditioner bound to one assembled system."""
 
-    def __init__(
-        self,
-        cfg: PrecondConfig,
-        system: StokesSystem,
-        params: ChebyshevParams | None = None,
-        velocity_mg: Multigrid | None = None,
-        mass_mg: Multigrid | None = None,
-    ):
+    def __init__(self, cfg: PrecondConfig, system: StokesSystem):
         self.cfg = cfg
         self.system = system
-        self.params = params or ChebyshevParams()
+        self.params = ChebyshevParams()
         self.inner_iterations = 0
         self.inner_failures = 0
         ctx = system.active
@@ -121,7 +100,7 @@ class StokesPreconditioner:
         if "exact_inner_solve" in (cfg.a_inv, cfg.s_inv):
             self._a_chol = np.linalg.cholesky(materialize(lambda u: apply_A(ctx, u), ctx.n_u))
         if cfg.a_inv == "gmg_vcycle":
-            self.velocity_mg = velocity_mg or build_velocity_multigrid(system, self.params)
+            self.velocity_mg = build_velocity_multigrid(system, self.params)
             self._a_solve = self.velocity_mg.vcycle
         else:
             self.velocity_mg = None
@@ -129,14 +108,9 @@ class StokesPreconditioner:
 
         self.mass_mg = None
         if cfg.s_inv == "vcycle_mass":
-            self.mass_mg = mass_mg or build_mass_multigrid(system, self.params)
+            self.mass_mg = build_mass_multigrid(system, self.params)
         elif cfg.s_inv == "cg_mass":
-            mp_diag = compute_diagonal(ctx, "Mp")
-            self.mp_lam = estimate_lambda_max(
-                lambda p: apply_Mp(ctx, p), mp_diag, self.params.eig_estimate_iters,
-                self.params.alpha_high,
-            )
-            self._mp_work = ChebyshevWork(mp_diag)
+            self.mp_smoother = smoother(ctx, "Mp", self.params)
         elif cfg.s_inv == "diag_mass":
             self._mp_diag = compute_diagonal(ctx, "Mp")
         else:  # exact_inner_solve
@@ -156,7 +130,6 @@ class StokesPreconditioner:
 
     def schur_apply(self, r_p: np.ndarray) -> np.ndarray:
         """Approximate application of S^-1 to a pressure residual."""
-        ctx = self.system.active
         cfg = self.cfg
         if cfg.s_inv == "diag_mass":
             return r_p / self._mp_diag
@@ -164,19 +137,12 @@ class StokesPreconditioner:
             return self.mass_mg.vcycle(r_p)
         if cfg.s_inv == "exact_inner_solve":
             return self._s_pinv @ r_p
-        pc = lambda r: chebyshev_smooth(
-            self.params, lambda p: apply_Mp(ctx, p), self._mp_work, r, lam_max=self.mp_lam
+        control = krylov.SolveControl(
+            reduction_target=SCHUR_CG_TOL,
+            max_iters=SCHUR_CG_MAX_ITERS,
+            restart_length=SCHUR_CG_MAX_ITERS,
         )
-        x, stats = krylov.cg(
-            lambda p: apply_Mp(ctx, p),
-            pc,
-            r_p,
-            krylov.SolveControl(
-                reduction_target=cfg.cg_mass_tol,
-                max_iters=SCHUR_CG_MAX_ITERS,
-                restart_length=SCHUR_CG_MAX_ITERS,
-            ),
-        )
+        x, stats = self.mp_smoother.cg(self.params, r_p, control)
         self.inner_iterations += stats.iterations
         if not stats.converged:
             self.inner_failures += 1

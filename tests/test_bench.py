@@ -366,29 +366,23 @@ def test_cli_threads_flag_overrides_preset_environment(tmp_path, schema, flag):
     assert "environment" not in CSV_COLUMNS
 
 
-def _cut_mass_coarse_solve(monkeypatch):
-    """Make the mass hierarchy's coarse CG stop after one iteration."""
+def _cap_coarse_solves(monkeypatch):
+    """Make every hierarchy's coarse CG stop after one iteration."""
     from gmgstokes import multigrid
 
-    build = multigrid.build_mass_multigrid
-
-    def one_coarse_iteration(*args, **kwargs):
-        mg = build(*args, **kwargs)
-        return multigrid.Multigrid(mg.levels, mg.plan, mg.params, coarse_max_iters=1)
-
-    monkeypatch.setattr(multigrid, "build_mass_multigrid", one_coarse_iteration)
+    monkeypatch.setattr(multigrid, "COARSE_CG_MAX_ITERS", 1)
 
 
 def test_unconverged_coarse_solve_flags_the_run(monkeypatch):
     cfg = dict(solver="idr", schur="vcycle")
     assert "coarse_solve_unconverged" not in run_benchmark(small_cfg(**cfg)).flag
-    _cut_mass_coarse_solve(monkeypatch)
+    _cap_coarse_solves(monkeypatch)
     rec = run_benchmark(small_cfg(**cfg))
     assert "coarse_solve_unconverged" in rec.flag.split(";")
 
 
 def test_cli_flagged_run_exit_code(tmp_path, monkeypatch):
-    _cut_mass_coarse_solve(monkeypatch)
+    _cap_coarse_solves(monkeypatch)
     out = tmp_path / "record.json"
     code = main(
         [

@@ -10,7 +10,7 @@ from gmgstokes.krylov import SolveControl, cg
 from gmgstokes.mesh import build_hierarchy
 from gmgstokes.multigrid import (
     ChebyshevParams,
-    ChebyshevWork,
+    MGLevel,
     build_mass_multigrid,
     build_transfer_plan,
     build_velocity_multigrid,
@@ -165,10 +165,10 @@ def test_chebyshev_single_eigenvalue_exact():
     op = lambda v: 5.0 * d * v
     params = ChebyshevParams(degree=1, alpha_low=1.0)
     b = np.arange(1.0, 13.0)
-    x = chebyshev_smooth(params, op, ChebyshevWork(d), b, lam_max=5.0)
+    x = chebyshev_smooth(params, MGLevel(op, d, 5.0), b)
     assert np.allclose(op(x), b, rtol=1e-14)
     params4 = ChebyshevParams(degree=4, alpha_low=1.0)
-    x4 = chebyshev_smooth(params4, op, ChebyshevWork(d), b, lam_max=5.0)
+    x4 = chebyshev_smooth(params4, MGLevel(op, d, 5.0), b)
     assert np.allclose(op(x4), b, rtol=1e-14)
 
 
@@ -180,7 +180,7 @@ def test_chebyshev_fixed_point():
     x_exact = rng.standard_normal(20)
     b = op(x_exact)
     params = ChebyshevParams(degree=4)
-    x = chebyshev_smooth(params, op, ChebyshevWork(d), b, x0=x_exact, lam_max=10.0)
+    x = chebyshev_smooth(params, MGLevel(op, d, 10.0), b, x0=x_exact)
     assert np.allclose(x, x_exact, atol=1e-13)
 
 
@@ -202,7 +202,7 @@ def test_chebyshev_matches_analytic_polynomial():
     for idx in (4, 6, 9):  # components inside the smoothing interval
         e0 = np.zeros(10)
         e0[idx] = 1.0
-        x = chebyshev_smooth(params, op, ChebyshevWork(d), np.zeros(10), x0=e0, lam_max=high)
+        x = chebyshev_smooth(params, MGLevel(op, d, high), np.zeros(10), x0=e0)
         got = x[idx]  # remaining error fraction
         expected = cheb(4, (theta - lam_vals[idx]) / delta) / cheb(4, theta / delta)
         assert got == pytest.approx(expected, rel=1e-10)
@@ -225,7 +225,7 @@ def test_chebyshev_buffers_bit_identical_to_reference(dim):
             diag = compute_diagonal(system.contexts[level], kind)
             for x0 in (None, rng.standard_normal(diag.size)):
                 b = rng.standard_normal(diag.size)
-                got = chebyshev_smooth(params, lv.op, lv.work, b, x0=x0, lam_max=lv.lam_max)
+                got = chebyshev_smooth(params, lv, b, x0=x0)
                 want = oracle.chebyshev_smooth_reference(
                     params, lv.op, diag, b, x0=x0, lam_max=lv.lam_max
                 )

@@ -3,10 +3,11 @@ import pytest
 import scipy.linalg as sla
 
 import oracle
-from conftest import make_system
+from conftest import make_system, random_viscosity
 from gmgstokes.fem import BlockVector, make_gauss_rule
 from gmgstokes.krylov import SolveControl, gmres
 from gmgstokes.mesh import build_hierarchy
+from gmgstokes.multigrid import build_mass_multigrid
 from gmgstokes.operators import StokesSystem
 from gmgstokes.precond import (
     ConfigError,
@@ -59,7 +60,7 @@ def test_exact_preconditioner_krylov_rank_two(exact_setup):
 
 def test_apply_p_zero_maps_to_zero(exact_setup):
     system, pc = exact_setup
-    out = pc.apply(BlockVector.zeros(system.n_u, system.n_p))
+    out = pc.apply(BlockVector(np.zeros(system.n_u), np.zeros(system.n_p)))
     assert np.all(out.flat() == 0.0)
 
 
@@ -85,6 +86,21 @@ def test_schur_cg_mass_converges_in_one_to_five_iterations():
         its = pc.inner_iterations - before
         assert 1 <= its <= 5
     assert pc.inner_failures == 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_schur_smoother_built_like_the_finest_mass_level(dim):
+    # the Schur mass-CG preconditioner is the mass hierarchy's finest
+    # smoother: same diagonal, same Lanczos estimate, bit for bit
+    system = make_system(dim, 3, visc=random_viscosity(build_hierarchy(dim, 3), seed=dim))
+    got = StokesPreconditioner(PrecondConfig(s_inv="cg_mass"), system).mp_smoother
+    want = build_mass_multigrid(system).levels[-1]
+    assert got.lam_max == want.lam_max
+    assert np.array_equal(got.inv_diag, want.inv_diag)
+    assert got.components == want.components == 1
+    assert got.scalar_constrained.size == want.scalar_constrained.size == 0
+    b = np.random.default_rng(dim).standard_normal(system.n_p)
+    assert np.array_equal(got.op(b), want.op(b))
 
 
 def test_schur_diag_mass_relative_error_below_one():
