@@ -24,13 +24,12 @@ from dataclasses import dataclass, field
 
 from . import __version__
 
-SCHUR_MAP = {"cg": "cg_mass", "vcycle": "vcycle_mass", "diag": "diag_mass"}
 # the RunConfig fields limited to a fixed set of values, and those values
 CHOICES = {
     "dim": (2, 3),
     "solver": ("gmres", "fgmres", "idr"),
     "precond_shape": ("triangular", "diagonal"),
-    "schur": tuple(SCHUR_MAP),
+    "schur": ("cg", "vcycle", "diag"),
 }
 # application-owned full-length vectors held by the driver during a solve:
 # solution, right-hand side, true-residual check, pressure-normalization scratch
@@ -60,6 +59,11 @@ class RunConfig:
     threads: int = 1
 
     def validate(self) -> None:
+        """Reject values outside ``CHOICES``, and ``schur="cg"`` with ``gmres``:
+        the inner CG varies between applications.  ``idr`` with ``cg`` is
+        accepted but unsound, as IDR(s) assumes a fixed preconditioner (in
+        ``BENCH_7.json`` one such sweep row took 17-67 iterations where FGMRES
+        took 32-44); ROADMAP item 6 plans a fixed linear Schur choice."""
         for name, allowed in CHOICES.items():
             value = getattr(self, name)
             if value not in allowed:
@@ -68,6 +72,8 @@ class RunConfig:
             raise ValueError("levels must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.schur == "cg" and self.solver not in ("fgmres", "idr"):
+            raise ValueError("schur='cg' varies between applications; use fgmres or idr")
 
 
 # the type of every RunConfig field that a flag or a config entry sets;
@@ -250,7 +256,7 @@ def chebyshev_report(precond) -> dict:
     out = {"velocity": [entry(lv.lam_max) for lv in precond.velocity_mg.levels]}
     if precond.mass_mg is not None:
         out["mass"] = [entry(lv.lam_max) for lv in precond.mass_mg.levels]
-    if precond.cfg.s_inv == "cg_mass":
+    if precond.schur == "cg":
         out["schur_mass_cg"] = entry(precond.mp_smoother.lam_max)
     return out
 
@@ -263,7 +269,7 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
     from .fem import BlockVector, distribute_dofs, make_gauss_rule
     from .mesh import build_hierarchy
     from .operators import StokesSystem, assemble_rhs
-    from .precond import PrecondConfig, StokesPreconditioner, normalize_pressure
+    from .precond import StokesPreconditioner, normalize_pressure
     from .viscosity import average_active_viscosity, restrict_viscosity, sinker_config
 
     cfg.validate()
@@ -289,9 +295,7 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
     rule = make_gauss_rule(3, cfg.dim)
     visc = restrict_viscosity(average_active_viscosity(mesh, sk, rule), mesh)
     system = StokesSystem(mesh, dofmap, visc, rule)
-    pcfg = PrecondConfig(shape=cfg.precond_shape, s_inv=SCHUR_MAP[cfg.schur])
-    pcfg.validate_solver(cfg.solver)
-    precond = StokesPreconditioner(pcfg, system)
+    precond = StokesPreconditioner(system, shape=cfg.precond_shape, schur=cfg.schur)
     b = assemble_rhs(system.active, sk)
     b = normalize_pressure(b, system.pressure_weights())
     t_assemble = time.perf_counter() - t1
@@ -478,7 +482,10 @@ def main(argv=None) -> int:
     try:
         cfg = _cfg_from_args(args)
         if args.threads is not None:
-            cfg.validate()
+            # only the thread count: a sweep axis may still replace the
+            # solver or the Schur choice that validate() pairs
+            if cfg.threads < 1:
+                raise ValueError("threads must be >= 1")
             # the flag wins over a preset environment; numpy is not loaded yet
             for var in THREAD_VARS:
                 os.environ[var] = str(cfg.threads)

@@ -134,16 +134,13 @@ def make_level_context(
     visc: ViscosityField,
     level: int,
     rule: QuadratureRule | None = None,
-    constrain: bool = True,
 ) -> LevelOperatorContext:
-    """Assemble the per-level context; ``constrain=False`` drops the
-    boundary treatment (pure Neumann form, used by some diagnostics)."""
+    """Assemble the per-level context."""
     dim = mesh.dim
     rule = rule or make_gauss_rule(3, dim)
     ld = dofmap.levels[level]
     offsets = np.arange(dim)[None, :, None] * ld.n_scalar
     u_map = (offsets + ld.q2_map[:, None, :]).reshape(ld.n_cells, -1)
-    constrained = ld.velocity_constrained(dim) if constrain else np.empty(0, dtype=np.int64)
     return LevelOperatorContext(
         dim=dim,
         level=level,
@@ -155,7 +152,7 @@ def make_level_context(
         rule=rule,
         elements=_element_matrices(dim, rule),
         u_map=u_map,
-        u_constrained=constrained,
+        u_constrained=ld.velocity_constrained(dim),
     )
 
 

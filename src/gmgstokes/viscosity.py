@@ -26,7 +26,6 @@ class SinkerConfig:
     delta: float = 200.0
     omega: float = 0.1
     beta: float = 10.0
-    seed: int = 1
 
     @property
     def mu_min(self) -> float:
@@ -70,7 +69,6 @@ def sinker_config(
         delta=float(delta),
         omega=float(omega),
         beta=float(beta),
-        seed=int(seed),
     )
 
 
@@ -111,8 +109,6 @@ def forcing(x, cfg: SinkerConfig) -> np.ndarray:
 class ViscosityField:
     """Harmonically averaged cell viscosities, one value per cell per level."""
 
-    mu_min: float
-    mu_max: float
     values: list[np.ndarray | None] = field(default_factory=list)
 
     def level(self, level: int) -> np.ndarray:
@@ -135,16 +131,14 @@ def average_active_viscosity(
     if np.any(vals <= 0.0):
         raise ValueError("viscosity must be strictly positive at quadrature points")
     cellwise = rule.n / np.sum(1.0 / vals, axis=1)
-    field_ = ViscosityField(mu_min=cfg.mu_min, mu_max=cfg.mu_max)
-    field_.values = [None] * mesh.n_levels
+    field_ = ViscosityField([None] * mesh.n_levels)
     field_.values[level] = cellwise
     return field_
 
 
 def restrict_viscosity(field_: ViscosityField, mesh: MeshHierarchy) -> ViscosityField:
     """Fill every coarse level with the arithmetic mean of the child values."""
-    out = ViscosityField(mu_min=field_.mu_min, mu_max=field_.mu_max)
-    out.values = [None] * mesh.n_levels
+    out = ViscosityField([None] * mesh.n_levels)
     out.values[mesh.active_level] = field_.level(mesh.active_level).copy()
     dim = mesh.dim
     for level in range(mesh.active_level, 0, -1):

@@ -23,7 +23,7 @@ from gmgstokes.operators import (
     apply_Mp,
     assemble_rhs_function,
 )
-from gmgstokes.precond import PrecondConfig, StokesPreconditioner, normalize_pressure
+from gmgstokes.precond import normalize_pressure
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -69,9 +69,7 @@ def test_exact_preconditioner_identity():
     """Exact block-triangular preconditioning solves in <= 3 GMRES
     iterations at relative residual 1e-10 (2D, 2-level mesh, mu = 1)."""
     system = make_system(2, 2)
-    pc = StokesPreconditioner(
-        PrecondConfig(a_inv="exact_inner_solve", s_inv="exact_inner_solve"), system
-    )
+    pc = oracle.exact_preconditioner(system)
     rng = np.random.default_rng(0)
     b = BlockVector(rng.standard_normal(system.n_u), rng.standard_normal(system.n_p))
     b.u.reshape(2, -1)[:, system.dofmap.active.dirichlet_scalar] = 0.0
@@ -158,8 +156,7 @@ def test_gmg_iteration_constancy_under_refinement(sinker3d_counts):
         coarse_mu = base_average(coarse_mesh, cfg, rule).level(coarse)
         ancestor = mesh.cell_lattices(mesh.active_level) // 2 ** (mesh.active_level - coarse)
         idx = sum(ancestor[:, a] * 2 ** (coarse * a) for a in range(mesh.dim))
-        out = viscosity.ViscosityField(mu_min=cfg.mu_min, mu_max=cfg.mu_max)
-        out.values = [None] * mesh.n_levels
+        out = viscosity.ViscosityField([None] * mesh.n_levels)
         out.values[mesh.active_level] = coarse_mu[idx]
         return out
 
@@ -326,9 +323,7 @@ def manufactured_errors(n_levels):
         [fns["fx"](pts[:, 0], pts[:, 1]), fns["fy"](pts[:, 0], pts[:, 1])], axis=1
     )
     b = assemble_rhs_function(system.active, force, rhs_rule)
-    pc = StokesPreconditioner(
-        PrecondConfig(a_inv="exact_inner_solve", s_inv="exact_inner_solve"), system
-    )
+    pc = oracle.exact_preconditioner(system)
     x, stats = gmres(system.apply_flat, pc.apply_flat, b.flat(), SolveControl(1e-12, 10, 10))
     assert stats.converged
     sol = normalize_pressure(BlockVector.from_flat(x, system.n_u), system.pressure_weights())

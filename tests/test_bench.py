@@ -178,7 +178,7 @@ def test_sweep_records_failures_and_continues():
     axes = {"schur": ["cg", "vcycle"]}
     recs = sweep(small_cfg(solver="gmres"), axes, master_seed=1)
     assert len(recs) == 2
-    assert recs[0].error != ""  # gmres + cg_mass is rejected
+    assert recs[0].error.startswith("ValueError: schur='cg'")  # gmres + cg is rejected
     assert recs[1].converged
 
 
@@ -289,6 +289,22 @@ def test_cli_sweep(tmp_path):
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3
+
+
+def test_cli_sweep_threads_with_swept_schur(tmp_path, monkeypatch):
+    # the base setting pairs gmres with the default schur="cg", but every
+    # row replaces the Schur choice, so --threads must not reject the base
+    for var in THREAD_VARS:  # --threads writes them; restore them afterwards
+        monkeypatch.setenv(var, "1")
+    out = tmp_path / "sweep.csv"
+    code = main(
+        [
+            "sweep", "--dim", "2", "--levels", "1", "--sinkers", "1", "--solver", "gmres",
+            "--threads", "1", "--sweep-schur", "vcycle,diag", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert len(out.read_text().strip().splitlines()) == 3
 
 
 def test_cli_nonconverged_exit_code():

@@ -110,11 +110,9 @@ def test_transfer_stacked_components_match_single():
 def test_restriction_zero_and_column_sums():
     # restriction of the constant-one dual vector preserves the total:
     # column sums of the explicit prolongation matrix
-    from gmgstokes.precond import materialize
-
     for dim, degree, plan, dofs, n in transfer_cases():
         assert np.all(restrict(plan, 1, np.zeros(n[1])) == 0.0)
-        pmat = materialize(lambda v: prolongate(plan, 1, v), n[0], n[1])
+        pmat = oracle.materialize(lambda v: prolongate(plan, 1, v), n[0], n[1])
         got = restrict(plan, 1, np.ones(n[1]))
         assert np.allclose(got, pmat.sum(axis=0), atol=1e-13), (dim, degree)
 

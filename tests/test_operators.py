@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import constant_viscosity, make_system, random_viscosity
+from conftest import constant_viscosity, make_system, random_viscosity, unconstrained_context
 from oracle import interpolate_scalar
 from gmgstokes.fem import BlockVector
 from gmgstokes.mesh import build_hierarchy, lattice
@@ -15,7 +15,6 @@ from gmgstokes.operators import (
     assemble_rhs,
     assemble_rhs_function,
     compute_diagonal,
-    make_level_context,
 )
 from gmgstokes.viscosity import sinker_config
 
@@ -118,7 +117,7 @@ def test_constant_field_in_strain_kernel():
     mesh = build_hierarchy(2, 2)
     dm = make_system(2, 2).dofmap
     visc = constant_viscosity(mesh)
-    ctx = make_level_context(mesh, dm, visc, 1, constrain=False)
+    ctx = unconstrained_context(mesh, dm, visc, 1)
     u = np.concatenate([np.full(ctx.n_scalar, 2.0), np.full(ctx.n_scalar, -1.0)])
     assert np.abs(apply_A(ctx, u)).max() < 1e-13
 
@@ -142,7 +141,7 @@ def test_divergence_free_linear_field():
     ux = interpolate_scalar(lambda pts: pts[:, 1], 2, 1, 2)
     uy = interpolate_scalar(lambda pts: pts[:, 0], 2, 1, 2)
     u = np.concatenate([ux, uy])
-    ctx_free = make_level_context(mesh, system.dofmap, constant_viscosity(mesh), 1, constrain=False)
+    ctx_free = unconstrained_context(mesh, system.dofmap, constant_viscosity(mesh), 1)
     assert np.abs(apply_B(ctx_free, u)).max() < 1e-13
 
 
@@ -160,7 +159,7 @@ def test_b_bt_adjoint_identity():
 def test_bt_constant_pressure_interior_rows_vanish():
     mesh = build_hierarchy(2, 2)
     system = make_system(2, 2)
-    ctx_free = make_level_context(mesh, system.dofmap, constant_viscosity(mesh), 1, constrain=False)
+    ctx_free = unconstrained_context(mesh, system.dofmap, constant_viscosity(mesh), 1)
     out = apply_Bt(ctx_free, np.ones(ctx_free.n_p)).reshape(2, -1)
     interior = np.setdiff1d(np.arange(ctx_free.n_scalar), system.dofmap.levels[1].dirichlet_scalar)
     assert np.abs(out[:, interior]).max() < 1e-13

@@ -4,18 +4,13 @@ import scipy.linalg as sla
 
 import oracle
 from conftest import make_system, random_viscosity
+from gmgstokes.bench import RunConfig
 from gmgstokes.fem import BlockVector, make_gauss_rule
 from gmgstokes.krylov import SolveControl, gmres
 from gmgstokes.mesh import build_hierarchy
 from gmgstokes.multigrid import build_mass_multigrid
 from gmgstokes.operators import StokesSystem
-from gmgstokes.precond import (
-    ConfigError,
-    PrecondConfig,
-    StokesPreconditioner,
-    materialize,
-    normalize_pressure,
-)
+from gmgstokes.precond import StokesPreconditioner, normalize_pressure
 from gmgstokes.viscosity import average_active_viscosity, restrict_viscosity, sinker_config
 
 
@@ -30,8 +25,7 @@ def compatible_rhs(system, rng):
 @pytest.fixture(scope="module")
 def exact_setup():
     system = make_system(2, 2)
-    cfg = PrecondConfig(shape="triangular", a_inv="exact_inner_solve", s_inv="exact_inner_solve")
-    return system, StokesPreconditioner(cfg, system)
+    return system, oracle.exact_preconditioner(system, shape="triangular")
 
 
 def test_exact_preconditioner_two_gmres_iterations(exact_setup):
@@ -43,6 +37,19 @@ def test_exact_preconditioner_two_gmres_iterations(exact_setup):
     assert stats.iterations <= 3
     res = np.linalg.norm(b - system.apply_flat(x)) / np.linalg.norm(b)
     assert res <= 1e-10
+
+
+def test_exact_diagonal_preconditioner_three_gmres_iterations():
+    # exact block-diagonal preconditioning leaves three distinct
+    # eigenvalues, so GMRES needs exactly three iterations
+    for dim, n_levels in [(2, 2), (2, 3), (3, 2)]:
+        system = make_system(dim, n_levels)
+        pc = oracle.exact_preconditioner(system, shape="diagonal")
+        b = compatible_rhs(system, np.random.default_rng(dim + n_levels)).flat()
+        x, stats = gmres(system.apply_flat, pc.apply_flat, b, SolveControl(1e-10, 10, 10))
+        assert stats.converged and stats.iterations == 3, (dim, n_levels, stats.iterations)
+        res = np.linalg.norm(b - system.apply_flat(x)) / np.linalg.norm(b)
+        assert res <= 1e-10, (dim, n_levels, res)
 
 
 def test_exact_preconditioner_krylov_rank_two(exact_setup):
@@ -66,8 +73,8 @@ def test_apply_p_zero_maps_to_zero(exact_setup):
 
 def test_triangular_and_diagonal_shapes_differ_only_in_velocity():
     system = make_system(2, 2)
-    tri = StokesPreconditioner(PrecondConfig(shape="triangular", s_inv="diag_mass"), system)
-    dia = StokesPreconditioner(PrecondConfig(shape="diagonal", s_inv="diag_mass"), system)
+    tri = StokesPreconditioner(system, shape="triangular", schur="diag")
+    dia = StokesPreconditioner(system, shape="diagonal", schur="diag")
     rng = np.random.default_rng(2)
     r = compatible_rhs(system, rng)
     out_t = tri.apply(r)
@@ -78,7 +85,7 @@ def test_triangular_and_diagonal_shapes_differ_only_in_velocity():
 
 def test_schur_cg_mass_converges_in_one_to_five_iterations():
     system = make_system(2, 3)
-    pc = StokesPreconditioner(PrecondConfig(s_inv="cg_mass"), system)
+    pc = StokesPreconditioner(system, shape="triangular", schur="cg")
     rng = np.random.default_rng(3)
     for _ in range(5):
         before = pc.inner_iterations
@@ -93,7 +100,7 @@ def test_schur_smoother_built_like_the_finest_mass_level(dim):
     # the Schur mass-CG preconditioner is the mass hierarchy's finest
     # smoother: same diagonal, same Lanczos estimate, bit for bit
     system = make_system(dim, 3, visc=random_viscosity(build_hierarchy(dim, 3), seed=dim))
-    got = StokesPreconditioner(PrecondConfig(s_inv="cg_mass"), system).mp_smoother
+    got = StokesPreconditioner(system, shape="triangular", schur="cg").mp_smoother
     want = build_mass_multigrid(system).levels[-1]
     assert got.lam_max == want.lam_max
     assert np.array_equal(got.inv_diag, want.inv_diag)
@@ -110,7 +117,7 @@ def test_schur_diag_mass_relative_error_below_one():
     from gmgstokes.fem import distribute_dofs
 
     system = StokesSystem(mesh, distribute_dofs(mesh), field)
-    pc = StokesPreconditioner(PrecondConfig(s_inv="diag_mass"), system)
+    pc = StokesPreconditioner(system, shape="triangular", schur="diag")
     mp = oracle.assemble_Mp(mesh, system.dofmap, 1, field.level(1), system.rule)
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -122,7 +129,7 @@ def test_schur_diag_mass_relative_error_below_one():
 
 def test_schur_vcycle_mass_linear_and_spd():
     system = make_system(2, 3)
-    pc = StokesPreconditioner(PrecondConfig(s_inv="vcycle_mass"), system)
+    pc = StokesPreconditioner(system, shape="triangular", schur="vcycle")
     rng = np.random.default_rng(6)
     r1 = rng.standard_normal(system.n_p)
     r2 = rng.standard_normal(system.n_p)
@@ -149,25 +156,23 @@ def test_normalize_pressure_properties():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        PrecondConfig(shape="upper")
-    with pytest.raises(ConfigError):
-        PrecondConfig(a_inv="amg")
-    with pytest.raises(ConfigError):
-        PrecondConfig(s_inv="ilu")
+    system = make_system(2, 1)
+    with pytest.raises(ValueError, match="shape"):
+        StokesPreconditioner(system, shape="upper", schur="diag")
+    with pytest.raises(ValueError, match="schur"):
+        StokesPreconditioner(system, shape="triangular", schur="ilu")
     # the varying inner CG demands a flexible outer solver
-    cfg = PrecondConfig(s_inv="cg_mass")
-    with pytest.raises(ConfigError):
-        cfg.validate_solver("gmres")
-    cfg.validate_solver("fgmres")
-    cfg.validate_solver("idr")
-    PrecondConfig(s_inv="vcycle_mass").validate_solver("gmres")
+    with pytest.raises(ValueError, match="schur='cg'"):
+        RunConfig(solver="gmres", schur="cg").validate()
+    RunConfig(solver="fgmres", schur="cg").validate()
+    RunConfig(solver="idr", schur="cg").validate()
+    RunConfig(solver="gmres", schur="vcycle").validate()
 
 
 def test_materialize_round_trip():
     rng = np.random.default_rng(8)
     mat = rng.standard_normal((7, 5))
-    got = materialize(lambda v: mat @ v, 5, 7)
+    got = oracle.materialize(lambda v: mat @ v, 5, 7)
     assert np.allclose(got, mat)
 
 

@@ -130,7 +130,7 @@ def test_harmonic_average_within_bounds():
 def test_restrict_constant():
     mesh = build_hierarchy(2, 3)
     fine = np.full(mesh.n_cells(2), 3.25)
-    field = ViscosityField(0.1, 10.0, [None, None, fine])
+    field = ViscosityField([None, None, fine])
     out = restrict_viscosity(field, mesh)
     for level in range(3):
         assert np.allclose(out.level(level), 3.25, rtol=1e-15)
@@ -138,7 +138,7 @@ def test_restrict_constant():
 
 def test_restrict_children_mean():
     mesh = build_hierarchy(2, 2)
-    field = ViscosityField(0.1, 10.0, [None, np.array([1.0, 2.0, 3.0, 4.0])])
+    field = ViscosityField([None, np.array([1.0, 2.0, 3.0, 4.0])])
     out = restrict_viscosity(field, mesh)
     assert out.level(0)[0] == pytest.approx(2.5)
 
@@ -147,7 +147,7 @@ def test_restrict_parent_equals_child_mean_everywhere():
     mesh = build_hierarchy(3, 3)
     rng = np.random.default_rng(4)
     fine = rng.uniform(0.1, 10.0, mesh.n_cells(2))
-    field = ViscosityField(0.1, 10.0, [None, None, fine])
+    field = ViscosityField([None, None, fine])
     out = restrict_viscosity(field, mesh)
     lat1 = mesh.cell_lattices(1)
     n2 = mesh.cells_per_axis(2)
@@ -166,7 +166,7 @@ def test_restrict_preserves_range(seed):
     mesh = build_hierarchy(2, 3)
     rng = np.random.default_rng(seed)
     fine = rng.uniform(0.2, 5.0, mesh.n_cells(2))
-    field = ViscosityField(0.2, 5.0, [None, None, fine])
+    field = ViscosityField([None, None, fine])
     out = restrict_viscosity(field, mesh)
     for level in range(3):
         assert out.level(level).min() >= fine.min() - 1e-12
