@@ -305,18 +305,15 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
     t2 = time.perf_counter()
     bf = b.flat()
     counters_before = {id(c): dict(c.counters) for c in system.contexts}
-    ledger = krylov.VectorLedger()
     control = krylov.SolveControl(
         reduction_target=cfg.reduction, max_iters=cfg.max_iters, restart_length=cfg.restart
     )
     if cfg.solver == "gmres":
-        x, stats = krylov.gmres(system.apply_flat, precond.apply_flat, bf, control, ledger)
+        x, stats = krylov.gmres(system.apply_flat, precond.apply_flat, bf, control)
     elif cfg.solver == "fgmres":
-        x, stats = krylov.fgmres(system.apply_flat, precond.apply_flat, bf, control, ledger)
+        x, stats = krylov.fgmres(system.apply_flat, precond.apply_flat, bf, control)
     else:
-        x, stats = krylov.idr_s(
-            system.apply_flat, precond.apply_flat, bf, cfg.idr_s, control, ledger
-        )
+        x, stats = krylov.idr_s(system.apply_flat, precond.apply_flat, bf, cfg.idr_s, control)
     t_solve = time.perf_counter() - t2
 
     # flop model for the viscous-block work inside the V-cycles, taken

@@ -1,18 +1,17 @@
-"""Krylov solvers (CG, GMRES, FGMRES, IDR(s)) with exact storage accounting.
+"""Krylov solvers (CG, GMRES, FGMRES, IDR(s)) with exact storage counts.
 
 All solvers are right-preconditioned, so the monitored residual is the
 true residual of the original system, and convergence means reducing the
 Euclidean residual norm below ``reduction_target`` times its initial
-value.
+value.  Every solve starts from a zero initial guess.
 
-Storage ledger
+Storage counts
 --------------
-Every full-length working vector a solver keeps alive across statements
-is allocated (or adopted) through a :class:`VectorLedger`; the high-water
-mark of simultaneously live vectors is reported as
-``SolverStats.peak_vector_count``.  The returned solution vector and the
-caller's right-hand side are application-owned and excluded, which makes
-the counts match the usual hand accounting:
+Each solver keeps its full-length working vectors as the rows of
+preallocated blocks, and ``SolverStats.peak_vector_count`` is the number
+of rows it reached.  The returned solution vector and the caller's
+right-hand side are application-owned and excluded, which makes the
+counts match the usual hand accounting:
 
 * ``gmres``   holds only the Arnoldi basis: j iterations -> j+1 vectors,
 * ``fgmres``  holds basis plus preconditioned basis: 2j+1 vectors,
@@ -30,37 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# IDR(s): the seed of the PCG64 stream its shadow space is drawn from, and
+# the least cosine between the residual and its image that the relaxation
+# step keeps (van Gijzen & Sonneveld, ACM TOMS 38, 2011)
+SHADOW_SEED = 20
+KAPPA = 0.7
+
 
 class IndefiniteOperatorError(RuntimeError):
     """CG observed a non-positive curvature direction."""
-
-
-class VectorLedger:
-    """Tracks live solver-owned vectors; every take/adopt/release is logged
-    so the peak can be recomputed independently from the event trail."""
-
-    def __init__(self):
-        self.live = 0
-        self.peak = 0
-        self.events: list[tuple[str, int]] = []
-
-    def take(self, n: int) -> np.ndarray:
-        arr = np.zeros(n)
-        self._register()
-        return arr
-
-    def adopt(self, arr: np.ndarray) -> np.ndarray:
-        self._register()
-        return arr
-
-    def release(self, count: int = 1) -> None:
-        self.live -= count
-        self.events.append(("release", self.live))
-
-    def _register(self) -> None:
-        self.live += 1
-        self.peak = max(self.peak, self.live)
-        self.events.append(("take", self.live))
 
 
 @dataclass
@@ -91,120 +68,92 @@ def _identity(x):
     return x
 
 
-def cg(op, precond, b, control: SolveControl, ledger: VectorLedger | None = None, x0=None):
+def cg(op, precond, b, control: SolveControl):
     """Preconditioned conjugate gradients for SPD ``op`` and SPD ``precond``.
 
     Raises :class:`IndefiniteOperatorError` when a search direction has
     non-positive curvature.
     """
-    ledger = ledger or VectorLedger()
-    stats = SolverStats()
+    stats = SolverStats(peak_vector_count=1)
     pc = precond or _identity
     n = b.size
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-
-    r = ledger.take(n)
-    if x0 is None:
-        r[:] = b
-    else:
-        r[:] = b - op(x)
-        stats.matvec_count += 1
+    x = np.zeros(n)
+    work = np.empty((4, n))
+    r, z, p, q = work
+    r[:] = b
     ref = np.linalg.norm(r)
-    stats.peak_vector_count = ledger.peak
     if ref == 0.0:
         stats.converged = True
-        ledger.release()
         return x, stats
     target = control.reduction_target * ref
+    stats.peak_vector_count = work.shape[0]
 
-    z = ledger.take(n)
     z[:] = pc(r)
     stats.precond_applications += 1
-    p = ledger.adopt(z.copy())
-    q = ledger.take(n)
+    p[:] = z
     rz = float(r @ z)
-    try:
-        while stats.iterations < control.max_iters:
-            q[:] = op(p)
-            stats.matvec_count += 1
-            curv = float(p @ q)
-            if curv <= 0.0:
-                raise IndefiniteOperatorError(
-                    f"non-positive curvature {curv:.3e} at iteration {stats.iterations}"
-                )
-            alpha = rz / curv
-            x += alpha * p
-            r -= alpha * q
-            stats.iterations += 1
-            res = np.linalg.norm(r)
-            stats.residual_history.append(res)
-            if res <= target:
-                stats.converged = True
-                break
-            z[:] = pc(r)
-            stats.precond_applications += 1
-            rz_new = float(r @ z)
-            p *= rz_new / rz
-            p += z
-            rz = rz_new
-        if not stats.converged:
-            stats.flag = stats.flag or "max_iters"
-    finally:
-        ledger.release(4)
-        stats.peak_vector_count = ledger.peak
+    while stats.iterations < control.max_iters:
+        q[:] = op(p)
+        stats.matvec_count += 1
+        curv = float(p @ q)
+        if curv <= 0.0:
+            raise IndefiniteOperatorError(
+                f"non-positive curvature {curv:.3e} at iteration {stats.iterations}"
+            )
+        alpha = rz / curv
+        x += alpha * p
+        r -= alpha * q
+        stats.iterations += 1
+        res = np.linalg.norm(r)
+        stats.residual_history.append(res)
+        if res <= target:
+            stats.converged = True
+            break
+        z[:] = pc(r)
+        stats.precond_applications += 1
+        rz_new = float(r @ z)
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
+    if not stats.converged:
+        stats.flag = "max_iters"
     return x, stats
 
 
-def _gmres_core(op, precond, b, control, ledger, x0, flexible, stats):
+def _gmres(op, precond, b, control, flexible):
+    stats = SolverStats(peak_vector_count=1)
     pc = precond or _identity
     n = b.size
     m = control.restart_length
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n)
 
     # the Arnoldi basis, and FGMRES's preconditioned basis, as rows of one
-    # block each; a row joins the ledger when it is first used, and the
-    # pages of rows never reached stay unmapped
+    # block each; the pages of rows never reached stay unmapped
     basis = np.empty((m + 1, n))
     zbasis = np.empty((m if flexible else 0, n))
-    adopted = {"v": 0, "z": 0}  # rows of each block in the ledger
+    v_rows, z_rows = 1, 0  # rows of each block reached
 
-    def row(block, key, j):
-        while adopted[key] <= j:
-            ledger.adopt(block[adopted[key]])
-            adopted[key] += 1
-        return block[j]
-
-    r0 = row(basis, "v", 0)
-    if x0 is None:
-        r0[:] = b
-    else:
-        np.subtract(b, op(x), out=r0)
-        stats.matvec_count += 1
-    ref = np.linalg.norm(r0)
+    basis[0] = b
+    ref = np.linalg.norm(basis[0])
     if ref == 0.0:
         stats.converged = True
-        ledger.release(adopted["v"])
-        stats.peak_vector_count = ledger.peak
         return x, stats
     target = control.reduction_target * ref
 
     res = ref
     while stats.iterations < control.max_iters:
         cycle_start = res
-        beta = np.linalg.norm(basis[0])
-        if beta == 0.0:
-            break
-        basis[0] /= beta
+        basis[0] /= res
         hmat = np.zeros((m + 1, m))
         g = np.zeros(m + 1)
-        g[0] = beta
-        cs = np.zeros(m)
-        sn = np.zeros(m)
+        g[0] = res
+        cs, sn = np.zeros(m), np.zeros(m)
         k = 0
         for j in range(m):
             if flexible:
-                z = row(zbasis, "z", j)
+                z = zbasis[j]
                 z[:] = pc(basis[j])
+                z_rows = max(z_rows, j + 1)
             else:
                 z = pc(basis[j])
             stats.precond_applications += 1
@@ -222,7 +171,8 @@ def _gmres_core(op, precond, b, control, ledger, x0, flexible, stats):
             hmat[j + 1, j] = np.linalg.norm(w)
             lucky = hmat[j + 1, j] == 0.0
             if not lucky:
-                np.divide(w, hmat[j + 1, j], out=row(basis, "v", j + 1))
+                np.divide(w, hmat[j + 1, j], out=basis[j + 1])
+                v_rows = max(v_rows, j + 2)
             # rotate the new column and update the residual recurrence
             for i in range(j):
                 t = cs[i] * hmat[i, j] + sn[i] * hmat[i + 1, j]
@@ -264,35 +214,22 @@ def _gmres_core(op, precond, b, control, ledger, x0, flexible, stats):
             break
     if not stats.converged and not stats.flag:
         stats.flag = "max_iters"
-    ledger.release(adopted["v"] + adopted["z"])
-    stats.peak_vector_count = ledger.peak
+    stats.peak_vector_count = v_rows + z_rows
     return x, stats
 
 
-def gmres(op, precond, b, control: SolveControl, ledger: VectorLedger | None = None, x0=None):
+def gmres(op, precond, b, control: SolveControl):
     """Restarted, right-preconditioned GMRES with a fixed preconditioner."""
-    stats = SolverStats()
-    return _gmres_core(op, precond, b, control, ledger or VectorLedger(), x0, False, stats)
+    return _gmres(op, precond, b, control, False)
 
 
-def fgmres(op, precond, b, control: SolveControl, ledger: VectorLedger | None = None, x0=None):
+def fgmres(op, precond, b, control: SolveControl):
     """Flexible GMRES: the preconditioner may change between iterations,
     at the price of one extra stored vector per iteration."""
-    stats = SolverStats()
-    return _gmres_core(op, precond, b, control, ledger or VectorLedger(), x0, True, stats)
+    return _gmres(op, precond, b, control, True)
 
 
-def idr_s(
-    op,
-    precond,
-    b,
-    s: int,
-    control: SolveControl,
-    ledger: VectorLedger | None = None,
-    x0=None,
-    shadow_seed: int = 20,
-    kappa: float = 0.7,
-):
+def idr_s(op, precond, b, s: int, control: SolveControl):
     """IDR(s) with biorthogonal residual updates and exactly 5+3s working
     vectors.
 
@@ -305,55 +242,41 @@ def idr_s(
     """
     if s < 1:
         raise ValueError("shadow-space dimension s must be >= 1")
-    ledger = ledger or VectorLedger()
-    stats = SolverStats()
+    stats = SolverStats(peak_vector_count=1)
     pc = precond or _identity
     n = b.size
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n)
 
-    r = ledger.take(n)
-    if x0 is None:
-        r[:] = b
-    else:
-        r[:] = b - op(x)
-        stats.matvec_count += 1
+    # the shadow space, the spaces G and U, and five single vectors as
+    # the rows of one block
+    work = np.empty((5 + 3 * s, n))
+    shadow, gspace, uspace = work[:s], work[s : 2 * s], work[2 * s : 3 * s]
+    r, v, vhat, uhat, ghat = work[3 * s :]
+    r[:] = b
     ref = np.linalg.norm(r)
     if ref == 0.0:
         stats.converged = True
-        ledger.release()
-        stats.peak_vector_count = ledger.peak
         return x, stats
     target = control.reduction_target * ref
+    stats.peak_vector_count = work.shape[0]
 
-    rng = np.random.default_rng(shadow_seed)
-    shadow = [ledger.take(n) for _ in range(s)]
-    gspace = [ledger.take(n) for _ in range(s)]
-    uspace = [ledger.take(n) for _ in range(s)]
-    v = ledger.take(n)
-    vhat = ledger.take(n)
-    uhat = ledger.take(n)
-    ghat = ledger.take(n)
+    rng = np.random.default_rng(SHADOW_SEED)
 
-    def draw_shadow():
-        for q in shadow:
-            q[:] = rng.standard_normal(n)
-        for i, q in enumerate(shadow):
-            for prev in shadow[:i]:
-                q -= (prev @ q) * prev
-            q /= np.linalg.norm(q)
+    def restart():
+        # draw and orthonormalize the shadow space; empty G and U
+        shadow[:] = rng.standard_normal((s, n))
+        for i in range(s):
+            for j in range(i):
+                shadow[i] -= (shadow[j] @ shadow[i]) * shadow[j]
+            shadow[i] /= np.linalg.norm(shadow[i])
+        work[s : 3 * s] = 0.0
+        return np.eye(s), 1.0
 
-    def reset_space():
-        for arr in gspace + uspace:
-            arr[:] = 0.0
-
-    draw_shadow()
-    reset_space()
-    mmat = np.eye(s)
-    omega = 1.0
+    mmat, omega = restart()
     redrawn = False
 
     while stats.iterations < control.max_iters:
-        f = np.array([q @ r for q in shadow])
+        f = shadow @ r
         breakdown = False
         for k in range(s):
             try:
@@ -361,41 +284,33 @@ def idr_s(
             except np.linalg.LinAlgError:
                 breakdown = True
                 break
-            v[:] = r
-            for i, ci in enumerate(c):
-                v -= ci * gspace[k + i]
+            np.subtract(r, c @ gspace[k:], out=v)
             vhat[:] = pc(v)
             stats.precond_applications += 1
-            uhat[:] = omega * vhat
-            for i, ci in enumerate(c):
-                uhat += ci * uspace[k + i]
+            np.multiply(omega, vhat, out=uhat)
+            uhat += c @ uspace[k:]
             ghat[:] = op(uhat)
             stats.matvec_count += 1
             for i in range(k):
                 alpha = (shadow[i] @ ghat) / mmat[i, i]
                 ghat -= alpha * gspace[i]
                 uhat -= alpha * uspace[i]
-            for i in range(k, s):
-                mmat[i, k] = shadow[i] @ ghat
+            mmat[k:, k] = shadow[k:] @ ghat
             if abs(mmat[k, k]) <= 1e-14 * np.linalg.norm(ghat):
                 breakdown = True
                 break
             beta = f[k] / mmat[k, k]
             r -= beta * ghat
             x += beta * uhat
-            if k + 1 < s:
-                f[k + 1 :] -= beta * mmat[k + 1 :, k]
-            gspace[k], ghat = ghat, gspace[k]
-            uspace[k], uhat = uhat, uspace[k]
+            f[k + 1 :] -= beta * mmat[k + 1 :, k]
+            gspace[k] = ghat
+            uspace[k] = uhat
         if breakdown:
             if redrawn:
                 stats.flag = "breakdown"
                 break
             redrawn = True
-            draw_shadow()
-            reset_space()
-            mmat = np.eye(s)
-            omega = 1.0
+            mmat, omega = restart()
             continue
         # relaxation step entering the next shadow space
         vhat[:] = pc(r)
@@ -409,8 +324,8 @@ def idr_s(
             break
         omega = tr / tt
         rho = abs(tr) / (np.sqrt(tt) * np.linalg.norm(r))
-        if rho < kappa:
-            omega *= kappa / rho
+        if rho < KAPPA:
+            omega *= KAPPA / rho
         x += omega * vhat
         r -= omega * ghat
         stats.iterations += 1
@@ -421,6 +336,4 @@ def idr_s(
             break
     if not stats.converged and not stats.flag:
         stats.flag = "max_iters"
-    ledger.release(5 + 3 * s)
-    stats.peak_vector_count = ledger.peak
     return x, stats

@@ -260,9 +260,7 @@ class Multigrid:
         self.plan = plan
         self.params = params
         self.coarse_control = krylov.SolveControl(
-            reduction_target=COARSE_CG_TOL,
-            max_iters=COARSE_CG_MAX_ITERS,
-            restart_length=COARSE_CG_MAX_ITERS,
+            reduction_target=COARSE_CG_TOL, max_iters=COARSE_CG_MAX_ITERS
         )
         self.n_vcycles = 0
         self.coarse_unconverged = 0

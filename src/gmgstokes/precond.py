@@ -76,11 +76,7 @@ class StokesPreconditioner:
             return r_p / self._mp_diag
         if self.schur == "vcycle":
             return self.mass_mg.vcycle(r_p)
-        control = krylov.SolveControl(
-            reduction_target=SCHUR_CG_TOL,
-            max_iters=SCHUR_CG_MAX_ITERS,
-            restart_length=SCHUR_CG_MAX_ITERS,
-        )
+        control = krylov.SolveControl(reduction_target=SCHUR_CG_TOL, max_iters=SCHUR_CG_MAX_ITERS)
         x, stats = self.mp_smoother.cg(self.params, r_p, control)
         self.inner_iterations += stats.iterations
         if not stats.converged:

@@ -10,11 +10,13 @@ from the product form of the 1D Lagrange polynomials, independently of
 the production tables.  Also pointwise evaluation and nodal interpolation
 of scalar FE functions, the reference the transfer and interpolation tests
 compare against, and the exact block preconditioners built from dense
-factorizations of the matrix-free blocks.
+factorizations of the matrix-free blocks.  And the Krylov references:
+GMRES by modified Gram-Schmidt and IDR(s) on lists of vectors.
 """
 
 import numpy as np
 
+from gmgstokes import krylov
 from gmgstokes.fem import LevelDofs, QuadratureRule
 from gmgstokes.mesh import MeshHierarchy
 from gmgstokes.operators import apply_A, apply_Bt
@@ -299,6 +301,67 @@ def gmres_mgs(op, precond, b, control, flexible):
             x += pc(sum(y[i] * basis[i] for i in range(k)))
         r = b - op(x)
         if np.linalg.norm(r) <= target:
+            break
+    return x, iterations, history
+
+
+def idr_s_lists(op, precond, b, s, control):
+    """IDR(s) with biorthogonal residual updates (van Gijzen & Sonneveld,
+    ACM TOMS 38, 2011), its spaces held as Python lists of vectors and
+    every projection a loop of dot products, from a zero initial guess and
+    without breakdown handling.  The reference for ``krylov.idr_s``, with
+    its shadow seed and relaxation bound; returns the solution, the
+    iteration count and the residual history."""
+    pc = precond or (lambda v: v)
+    n = b.size
+    x = np.zeros(n)
+    r = b.copy()
+    target = control.reduction_target * np.linalg.norm(r)
+    rng = np.random.default_rng(krylov.SHADOW_SEED)
+    shadow = [rng.standard_normal(n) for _ in range(s)]
+    for i, q in enumerate(shadow):
+        for prev in shadow[:i]:
+            q -= (prev @ q) * prev
+        q /= np.linalg.norm(q)
+    gspace = [np.zeros(n) for _ in range(s)]
+    uspace = [np.zeros(n) for _ in range(s)]
+    mmat = np.eye(s)
+    omega = 1.0
+    iterations, history = 0, []
+    while iterations < control.max_iters:
+        f = np.array([q @ r for q in shadow])
+        for k in range(s):
+            c = np.linalg.solve(mmat[k:, k:], f[k:])
+            v = r.copy()
+            for i, ci in enumerate(c):
+                v -= ci * gspace[k + i]
+            uhat = omega * pc(v)
+            for i, ci in enumerate(c):
+                uhat += ci * uspace[k + i]
+            ghat = op(uhat)
+            for i in range(k):
+                alpha = (shadow[i] @ ghat) / mmat[i, i]
+                ghat -= alpha * gspace[i]
+                uhat -= alpha * uspace[i]
+            for i in range(k, s):
+                mmat[i, k] = shadow[i] @ ghat
+            beta = f[k] / mmat[k, k]
+            r -= beta * ghat
+            x += beta * uhat
+            f[k + 1 :] -= beta * mmat[k + 1 :, k]
+            gspace[k], uspace[k] = ghat, uhat
+        vhat = pc(r)
+        ghat = op(vhat)
+        tt, tr = ghat @ ghat, ghat @ r
+        omega = tr / tt
+        rho = abs(tr) / (np.sqrt(tt) * np.linalg.norm(r))
+        if rho < krylov.KAPPA:
+            omega *= krylov.KAPPA / rho
+        x += omega * vhat
+        r -= omega * ghat
+        iterations += 1
+        history.append(np.linalg.norm(r))
+        if history[-1] <= target:
             break
     return x, iterations, history
 

@@ -14,7 +14,7 @@ import oracle
 from conftest import make_system, random_viscosity
 from gmgstokes.bench import RunConfig, run_benchmark
 from gmgstokes.fem import BlockVector, cell_quad_points, make_gauss_rule, tabulate
-from gmgstokes.krylov import SolveControl, VectorLedger, fgmres, gmres
+from gmgstokes.krylov import SolveControl, fgmres, gmres
 from gmgstokes.mesh import build_hierarchy
 from gmgstokes.operators import (
     apply_A,
@@ -283,8 +283,7 @@ def test_solver_storage_ledger():
     # fgmres driven past its restart length of 50
     mat = laplacian_1d(400)
     b = np.random.default_rng(8).standard_normal(400)
-    ledger = VectorLedger()
-    _, stats = fgmres(lambda v: mat @ v, None, b, SolveControl(1e-6, 60, 50), ledger)
+    _, stats = fgmres(lambda v: mat @ v, None, b, SolveControl(1e-6, 60, 50))
     ok_f = stats.iterations >= 51 and stats.peak_vector_count == 101
 
     ok = ok_idr and ok_apps and ok_mem and ok_over and ok_f
@@ -408,7 +407,7 @@ def test_out_of_scope_claims_substituted_by_invariant_suites():
         "test_viscosity.py",
         "test_operators.py",
         "test_multigrid.py",  # transfer adjointness, V-cycle SPD
-        "test_krylov.py",  # ledger exactness, determinism
+        "test_krylov.py",  # storage counts, determinism
         "test_precond.py",
         "test_bench.py",
     ]

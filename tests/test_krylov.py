@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,6 @@ import oracle
 from gmgstokes.krylov import (
     IndefiniteOperatorError,
     SolveControl,
-    VectorLedger,
     cg,
     fgmres,
     gmres,
@@ -88,11 +90,9 @@ def test_gmres_basis_accounting_thirty_iterations():
     mat = laplacian_1d(200)
     b = np.zeros(200)
     b[0] = 1.0
-    ledger = VectorLedger()
-    _, stats = gmres(matop(mat), None, b, SolveControl(1e-6, 30, 50), ledger)
+    _, stats = gmres(matop(mat), None, b, SolveControl(1e-6, 30, 50))
     assert stats.iterations == 30
     assert stats.peak_vector_count == 31
-    assert ledger.live == 0  # everything returned
 
 
 def test_gmres_residual_monotone_within_cycle():
@@ -146,11 +146,9 @@ def test_fgmres_two_vectors_per_iteration():
     # basis vectors = 101 live solver vectors, no constant overhead
     mat = laplacian_1d(400)
     b = np.random.default_rng(8).standard_normal(400)
-    ledger = VectorLedger()
-    _, stats = fgmres(matop(mat), None, b, SolveControl(1e-6, 60, 50), ledger)
+    _, stats = fgmres(matop(mat), None, b, SolveControl(1e-6, 60, 50))
     assert stats.iterations >= 51
     assert stats.peak_vector_count == 101
-    assert ledger.peak == 101
 
 
 def test_fgmres_tolerates_varying_preconditioner():
@@ -224,11 +222,9 @@ def test_idr2_storage_is_eleven_vectors():
     rng = np.random.default_rng(10)
     mat = rng.standard_normal((60, 60)) + 10 * np.eye(60)
     b = rng.standard_normal(60)
-    ledger = VectorLedger()
-    x, stats = idr_s(matop(mat), None, b, 2, SolveControl(1e-8, 200, 50), ledger)
+    x, stats = idr_s(matop(mat), None, b, 2, SolveControl(1e-8, 200, 50))
     assert stats.converged
     assert stats.peak_vector_count == 5 + 3 * 2 == 11
-    assert ledger.live == 0
 
 
 @pytest.mark.parametrize("s", [1, 2, 4])
@@ -236,8 +232,7 @@ def test_idr_storage_rule(s):
     rng = np.random.default_rng(11)
     mat = rng.standard_normal((50, 50)) + 10 * np.eye(50)
     b = rng.standard_normal(50)
-    ledger = VectorLedger()
-    _, stats = idr_s(matop(mat), None, b, s, SolveControl(1e-8, 200, 50), ledger)
+    _, stats = idr_s(matop(mat), None, b, s, SolveControl(1e-8, 200, 50))
     assert stats.peak_vector_count == 5 + 3 * s
 
 
@@ -269,28 +264,74 @@ def test_idr_determinism():
     assert runs[0].residual_history == runs[1].residual_history  # bit identical
 
 
+def test_idr_flags_breakdown_after_one_redraw():
+    # an operator that annihilates everything breaks the first inner step;
+    # the shadow space is redrawn once, then the solve is flagged
+    calls = []
+
+    def zero_op(v):
+        calls.append(1)
+        return np.zeros_like(v)
+
+    x, stats = idr_s(zero_op, None, np.ones(10), 2, SolveControl(1e-8, 50, 50))
+    assert stats.flag == "breakdown" and not stats.converged
+    assert stats.iterations == 0 and len(calls) == 2
+    assert np.all(x == 0.0)
+
+
 def test_idr_rejects_bad_s():
     with pytest.raises(ValueError):
         idr_s(lambda v: v, None, np.ones(4), 0, SolveControl(1e-6, 10, 10))
 
 
-# ---------------------------------------------------------------- ledger
+def _idr_case(seed, n, shift, jacobi):
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((n, n)) + shift * np.eye(n)
+    if jacobi:
+        mat[np.diag_indices(n)] *= rng.uniform(0.5, 4.0, n)
+    pc = matop(np.diag(1.0 / np.diag(mat))) if jacobi else None
+    return mat, rng.standard_normal(n), pc
 
 
-def test_ledger_event_replay_matches_peak():
-    rng = np.random.default_rng(15)
-    mat = rng.standard_normal((40, 40)) + 8 * np.eye(40)
-    b = rng.standard_normal(40)
-    ledger = VectorLedger()
-    _, stats = fgmres(matop(mat), None, b, SolveControl(1e-8, 100, 20), ledger)
-    # replay the audit trail and recompute the high-water mark
-    live = 0
-    peak = 0
-    for kind, after in ledger.events:
-        live = after
-        peak = max(peak, live)
-    assert live == 0
-    assert peak == ledger.peak == stats.peak_vector_count
+@pytest.mark.parametrize("s", [1, 2, 4], ids=lambda s: f"s={s}")
+def test_idr_block_matches_reference(s):
+    # the block IDR(s) takes the counts, solutions and residual histories
+    # of the list-of-vectors reference on three nonsymmetric problems
+    for case in [(13, 60, 10.0, False), (21, 60, 10.0, True), (22, 80, 12.0, False)]:
+        mat, b, pc = _idr_case(*case)
+        ctl = SolveControl(1e-10, 300, 50)
+        x, stats = idr_s(matop(mat), pc, b, s, ctl)
+        x_ref, iters_ref, hist_ref = oracle.idr_s_lists(matop(mat), pc, b, s, ctl)
+        assert stats.converged, case
+        assert stats.iterations == iters_ref, case
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref), case
+        hist, hist_ref = np.array(stats.residual_history), np.array(hist_ref)
+        assert np.max(np.abs(hist - hist_ref) / hist_ref) <= 1e-5, case
+
+
+# ---------------------------------------------------------------- storage
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [cg, gmres, fgmres, functools.partial(idr_s, s=2)],
+    ids=["cg", "gmres", "fgmres", "idr2"],
+)
+def test_traced_peak_matches_vector_count(solver):
+    # the bytes a solve allocates, in full-length vectors, lie between its
+    # vector count and that count plus the solution and a few operator
+    # outputs; 60 iterations drive GMRES and FGMRES past restart 50
+    n = 20_000
+    d = np.linspace(1.0, 1e3, n)
+    b = np.random.default_rng(18).standard_normal(n)
+    tracemalloc.start()
+    try:
+        _, stats = solver(lambda v: d * v, None, b, control=SolveControl(1e-10, 60, 50))
+        peak = tracemalloc.get_traced_memory()[1] / (8 * n)
+    finally:
+        tracemalloc.stop()
+    assert stats.iterations == 60
+    assert stats.peak_vector_count <= peak <= stats.peak_vector_count + 4
 
 
 def test_solver_determinism_across_runs():
