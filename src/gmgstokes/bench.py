@@ -107,6 +107,7 @@ class RunRecord:
     vcycle_count: int = 0
     model_flops_per_vcycle: float = 0.0
     model_flops_per_dof: float = 0.0
+    operator_calls: list = field(default_factory=list)
     chebyshev: dict = field(default_factory=dict)
     coarse_cg_iters_max: dict = field(default_factory=dict)
     error: str = ""
@@ -137,6 +138,7 @@ JSON_ONLY = (
     "inner_schur_failures",
     "residual_history",
     "timings",
+    "operator_calls",
     "chebyshev",
     "coarse_cg_iters_max",
     "environment",
@@ -244,16 +246,19 @@ def memory_report(system, precond, peak: int) -> dict:
 
 
 def chebyshev_report(precond) -> dict:
-    """The safety-scaled largest-eigenvalue estimate ``lam_max`` and the
-    smoothing interval of every Chebyshev smoother in the preconditioner:
-    each level of the velocity hierarchy and, when built, of the mass
-    hierarchy (coarsest first), and the Schur mass-CG preconditioner when
-    it is used."""
+    """The polynomial degree shared by every Chebyshev smoother in the
+    preconditioner, and each smoother's safety-scaled largest-eigenvalue
+    estimate ``lam_max`` and smoothing interval: each level of the velocity
+    hierarchy and, when built, of the mass hierarchy (coarsest first), and
+    the Schur mass-CG preconditioner when it is used."""
 
     def entry(lam):
         return {"lam_max": lam, "interval": [lam / precond.params.alpha_low, lam]}
 
-    out = {"velocity": [entry(lv.lam_max) for lv in precond.velocity_mg.levels]}
+    out = {
+        "degree": precond.params.degree,
+        "velocity": [entry(lv.lam_max) for lv in precond.velocity_mg.levels],
+    }
     if precond.mass_mg is not None:
         out["mass"] = [entry(lv.lam_max) for lv in precond.mass_mg.levels]
     if precond.schur == "cg":
@@ -304,7 +309,7 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
 
     t2 = time.perf_counter()
     bf = b.flat()
-    counters_before = {id(c): dict(c.counters) for c in system.contexts}
+    counters_before = [dict(c.counters) for c in system.contexts]
     control = krylov.SolveControl(
         reduction_target=cfg.reduction, max_iters=cfg.max_iters, restart_length=cfg.restart
     )
@@ -316,16 +321,21 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
         x, stats = krylov.idr_s(system.apply_flat, precond.apply_flat, bf, cfg.idr_s, control)
     t_solve = time.perf_counter() - t2
 
-    # flop model for the viscous-block work inside the V-cycles, taken
-    # before any further operator applications
+    # operator applications per level during the solve, taken before the
+    # true-residual check applies the operator again
+    record.operator_calls = [
+        {op: ctx.counters.get(op, 0) - before.get(op, 0) for op in ("apply_A", "apply_Mp")}
+        for ctx, before in zip(system.contexts, counters_before)
+    ]
+    # flop model for the viscous-block work inside the V-cycles: every
+    # apply_A of the solve except the outer operator's, one per matvec on
+    # the active level
     vcycles = precond.velocity_mg.n_vcycles
-    mg_flops = 0.0
-    for ctx in system.contexts:
-        before = counters_before[id(ctx)].get("apply_A", 0)
-        applies = ctx.counters.get("apply_A", 0) - before
-        if ctx is system.active:
-            applies -= stats.matvec_count  # outer operator applications
-        mg_flops += applies * _flops_per_apply_A(ctx)
+    mg_flops = sum(
+        calls["apply_A"] * _flops_per_apply_A(ctx)
+        for ctx, calls in zip(system.contexts, record.operator_calls)
+    )
+    mg_flops -= stats.matvec_count * _flops_per_apply_A(system.active)
     record.vcycle_count = vcycles
     if vcycles:
         record.model_flops_per_vcycle = mg_flops / vcycles

@@ -7,9 +7,9 @@ products, so prolongation is the Kronecker product of one 1D embedding
 matrix per axis, applied axis by axis, and restriction is its exact
 transpose.  The smoother is a fixed-degree Chebyshev polynomial in the
 Jacobi-preconditioned operator, targeting the upper part of the spectrum
-estimated by a short Lanczos run.  One pre- and one post-smoothing
-application per level keeps the V-cycle symmetric, so it can serve as a
-preconditioner for CG as well as GMRES-type methods.
+estimated by a short Lanczos run.  The V-cycle smooths only after the
+coarse correction, V(0,k), so a level costs k operator applications; it
+is linear but not symmetric, so it serves GMRES-type methods, not CG.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ class ChebyshevParams:
     [lam/alpha_low, lam] around the estimate lam scaled by the safety
     factor alpha_high.  The defaults are those of deal.II's
     ``PreconditionChebyshev`` in its matrix-free multigrid tutorial
-    (step-37): ``smoothing_range = 15``, 10 eigenvalue iterations and a
-    1.2 safety factor."""
+    (step-37): degree 5, ``smoothing_range = 15``, 10 eigenvalue
+    iterations and a 1.2 safety factor; every smoother uses them."""
 
-    degree: int = 4
+    degree: int = 5
     eig_estimate_iters: int = 10
     alpha_low: float = 15.0
     alpha_high: float = 1.2
@@ -280,14 +280,13 @@ class Multigrid:
             return self._coarse_solve(b)
         lv = self.levels[level]
         comp = lv.components
-        x = chebyshev_smooth(self.params, lv, b)
-        r = (b - lv.op(x)).reshape(comp, -1)
+        r = b.reshape(comp, -1).copy()
         r[:, lv.scalar_constrained] = 0.0
         rc = restrict(self.plan, level, r)
         rc[:, self.levels[level - 1].scalar_constrained] = 0.0
         ec = self.vcycle(rc.reshape(-1), level - 1)
-        x += prolongate(self.plan, level, ec.reshape(comp, -1), lv.scalar_constrained).reshape(-1)
-        return chebyshev_smooth(self.params, lv, b, x0=x)
+        x0 = prolongate(self.plan, level, ec.reshape(comp, -1), lv.scalar_constrained)
+        return chebyshev_smooth(self.params, lv, b, x0=x0.reshape(-1))
 
 
 def build_velocity_multigrid(

@@ -11,7 +11,8 @@ the production tables.  Also pointwise evaluation and nodal interpolation
 of scalar FE functions, the reference the transfer and interpolation tests
 compare against, and the exact block preconditioners built from dense
 factorizations of the matrix-free blocks.  And the Krylov references:
-GMRES by modified Gram-Schmidt and IDR(s) on lists of vectors.
+GMRES by modified Gram-Schmidt and IDR(s) on lists of vectors.  And the
+pre-smoothing-only V-cycle, the adjoint of the production cycle.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from gmgstokes import krylov
 from gmgstokes.fem import LevelDofs, QuadratureRule
 from gmgstokes.mesh import MeshHierarchy
+from gmgstokes.multigrid import chebyshev_smooth, prolongate, restrict
 from gmgstokes.operators import apply_A, apply_Bt
 from gmgstokes.precond import StokesPreconditioner
 
@@ -247,6 +249,26 @@ def chebyshev_smooth_reference(params, op, diag, b, x0=None, lam_max=None):
         x += d
         rho = rho_new
     return x
+
+
+def vcycle_pre_only(mg, b, level=None):
+    """V(k,0) on the levels, transfers and coarse solve of the Multigrid
+    ``mg``: smooth from zero, restrict the residual with the constrained
+    entries zeroed, recurse, and add the prolongated correction.  It is the
+    adjoint of ``mg.vcycle``'s V(0,k) on vectors that vanish on the
+    constrained entries."""
+    if level is None:
+        level = len(mg.levels) - 1
+    if level == 0:
+        return mg.levels[0].cg(mg.params, b, mg.coarse_control)[0]
+    lv = mg.levels[level]
+    x = chebyshev_smooth(mg.params, lv, b)
+    r = (b - lv.op(x)).reshape(lv.components, -1)
+    r[:, lv.scalar_constrained] = 0.0
+    rc = restrict(mg.plan, level, r)
+    rc[:, mg.levels[level - 1].scalar_constrained] = 0.0
+    ec = vcycle_pre_only(mg, rc.reshape(-1), level - 1).reshape(lv.components, -1)
+    return x + prolongate(mg.plan, level, ec, lv.scalar_constrained).reshape(-1)
 
 
 def gmres_mgs(op, precond, b, control, flexible):

@@ -140,11 +140,10 @@ def test_gmg_iteration_constancy_under_refinement(sinker3d_counts):
     than one cell at h = 1/8, so the cell contrast goes 8.1e3 -> 1e4 -> 1e4
     and the cells with mu > 10 mu_min go 52 -> 568 -> 4986 (11x, then the
     8x of one 3D refinement).  On that sinker field the counts grow
-    (32/39/44 with the default smoothing interval [lam/15, lam]; 36/45/49
-    with [lam/4, lam]), and the growth follows the coefficient: it
-    persists with a near-exact velocity solve (20 -> 29 from level 3 to 4)
-    and with a 1e-8 inner Schur CG, while V-cycle-preconditioned CG on
-    ``A`` stays flat.  Those counts are printed, not asserted.
+    (35/43/47), and the growth follows the coefficient: it persists with a
+    near-exact velocity solve (20 -> 29 from level 3 to 4) and with a 1e-8
+    inner Schur CG, while V-cycle-preconditioned GMRES on ``A`` stays
+    flat.  Those counts are printed, not asserted.
     """
     from gmgstokes import viscosity
 

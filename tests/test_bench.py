@@ -62,7 +62,8 @@ def test_run_record_reports_chebyshev_intervals(schema, schur, smoothers):
     data = json.loads(json.dumps(rec.to_dict()))
     jsonschema.validate(data, schema)
     cheb = data["chebyshev"]
-    assert set(cheb) == smoothers
+    assert set(cheb) == smoothers | {"degree"}
+    assert cheb["degree"] == 5
     entries = [cheb["schur_mass_cg"]] if "schur_mass_cg" in cheb else []
     for hierarchy in ("velocity", "mass"):
         if hierarchy in cheb:
@@ -71,6 +72,24 @@ def test_run_record_reports_chebyshev_intervals(schema, schur, smoothers):
     for e in entries:
         assert e["interval"] == [e["lam_max"] / 15, e["lam_max"]]
     assert "chebyshev" not in CSV_COLUMNS
+
+
+@pytest.mark.parametrize("schur", ["cg", "vcycle"])
+def test_run_record_reports_operator_calls_per_level(schema, schur):
+    rec = run_benchmark(small_cfg(schur=schur))
+    data = json.loads(json.dumps(rec.to_dict()))
+    jsonschema.validate(data, schema)
+    calls = data["operator_calls"]
+    assert len(calls) == rec.config["levels"] + 1
+    degree = data["chebyshev"]["degree"]
+    # each V-cycle applies its operator degree times on every level above
+    # the coarsest; the active level also carries one A per outer matvec
+    for level, c in enumerate(calls[1:], 1):
+        outer = rec.matvec_count if level == len(calls) - 1 else 0
+        assert c["apply_A"] == rec.vcycle_count * degree + outer, (level, c)
+        if schur == "vcycle":
+            assert c["apply_Mp"] == rec.precond_applications * degree, (level, c)
+    assert "operator_calls" not in CSV_COLUMNS
 
 
 def test_run_record_reports_no_inner_schur_failures_on_a_normal_run(schema):

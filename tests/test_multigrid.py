@@ -6,7 +6,7 @@ import pytest
 import oracle
 from conftest import constant_viscosity, make_system, random_viscosity
 from gmgstokes.fem import distribute_dofs, make_gauss_rule
-from gmgstokes.krylov import SolveControl, cg
+from gmgstokes.krylov import SolveControl, gmres
 from gmgstokes.mesh import build_hierarchy
 from gmgstokes.multigrid import (
     ChebyshevParams,
@@ -231,10 +231,11 @@ def test_chebyshev_buffers_bit_identical_to_reference(dim):
 
 
 def test_vcycle_allocation_budget():
-    # once warm, a V-cycle allocates its result, the residual, the
-    # operator products and the transfer intermediates, not a fresh set of
-    # vectors for every smoothing step: under 5 fine-level vectors of
-    # traced peak on 3D levels=3, against 9.3 when each step allocates
+    # once warm, a V-cycle allocates its result, a copy of its right-hand
+    # side, the operator products and the transfer intermediates, not a
+    # fresh set of vectors for every smoothing step: under 5 fine-level
+    # vectors of traced peak on 3D levels=3, against 9.3 when each step
+    # allocates
     system = make_system(3, 4)
     mg = build_velocity_multigrid(system)
     b = np.random.default_rng(12).standard_normal(system.n_u)
@@ -263,19 +264,40 @@ def test_vcycle_zero_and_linearity():
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(lhs)
 
 
-def test_vcycle_spd_preconditioner():
-    system = make_system(2, 3)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_vcycle_adjoint_is_pre_smoothing_cycle(dim):
+    # the post-smoothing-only cycle V(0,k) is not symmetric; its adjoint is
+    # the pre-smoothing-only V(k,0) built from the same levels, and it
+    # stays positive definite
+    system = make_system(dim, 3)
     mg = build_velocity_multigrid(system)
     rng = np.random.default_rng(4)
-    cons = system.dofmap.active.velocity_constrained(2)
+    cons = system.dofmap.active.velocity_constrained(dim)
     for _ in range(5):
         b1 = rng.standard_normal(system.n_u)
         b2 = rng.standard_normal(system.n_u)
         b1[cons] = b2[cons] = 0.0
         assert mg.vcycle(b1) @ b1 > 0.0
         lhs = mg.vcycle(b1) @ b2
-        rhs = b1 @ mg.vcycle(b2)
+        rhs = b1 @ oracle.vcycle_pre_only(mg, b2)
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_vcycle_applies_each_operator_degree_times_per_level(dim):
+    # one warm cycle costs exactly params.degree operator applications on
+    # every level above the coarsest: no pre-smoothing, no residual
+    system = make_system(dim, 3)
+    rng = np.random.default_rng(13)
+    hierarchies = (build_velocity_multigrid(system), build_mass_multigrid(system))
+    for mg, op in zip(hierarchies, ("apply_A", "apply_Mp")):
+        b = rng.standard_normal(mg.levels[-1].inv_diag.size)
+        b[mg.levels[-1].scalar_constrained] = 0.0
+        mg.vcycle(b)
+        before = [ctx.counters.get(op, 0) for ctx in system.contexts]
+        mg.vcycle(b)
+        calls = [ctx.counters.get(op, 0) - n for ctx, n in zip(system.contexts, before)]
+        assert calls[1:] == [mg.params.degree] * 2, (op, calls)
 
 
 def test_vcycle_richardson_contraction():
@@ -299,14 +321,15 @@ def test_vcycle_richardson_contraction():
 
 
 def test_h_robustness_constant_viscosity():
-    # the GMG hallmark: CG iteration counts stay flat under refinement
+    # the GMG hallmark: V-cycle-preconditioned GMRES iteration counts stay
+    # flat under refinement
     counts = []
     for n_levels in (3, 4, 5):
         system = make_system(2, n_levels)
         mg = build_velocity_multigrid(system)
         b = np.random.default_rng(7).standard_normal(system.n_u)
         b[system.dofmap.active.velocity_constrained(2)] = 0.0
-        _, stats = cg(
+        _, stats = gmres(
             lambda u: apply_A(system.active, u), mg.vcycle, b, SolveControl(1e-6, 100, 50)
         )
         assert stats.converged
@@ -331,7 +354,7 @@ def test_viscosity_robustness_single_sinker():
         mg = build_velocity_multigrid(system)
         b = np.random.default_rng(8).standard_normal(system.n_u)
         b[system.dofmap.active.velocity_constrained(3)] = 0.0
-        _, stats = cg(
+        _, stats = gmres(
             lambda u: apply_A(system.active, u), mg.vcycle, b, SolveControl(1e-6, 200, 50)
         )
         assert stats.converged
@@ -342,7 +365,7 @@ def test_viscosity_robustness_single_sinker():
 def test_smoothing_range_fifteen_beats_four():
     # the default interval [lam/15, lam] (deal.II's smoothing_range) makes
     # a better V-cycle on the 3D DR=1e4 sinker field than [lam/4, lam]:
-    # 16 against 20 CG iterations when this test was written
+    # 19 against 25 GMRES iterations when this test was written
     mesh = build_hierarchy(3, 4)
     cfg = sinker_config(3, 4, 1e4, seed=1)
     field = restrict_viscosity(average_active_viscosity(mesh, cfg, make_gauss_rule(3, 3)), mesh)
@@ -352,7 +375,7 @@ def test_smoothing_range_fifteen_beats_four():
     counts = []
     for params in (ChebyshevParams(), ChebyshevParams(alpha_low=4.0)):
         mg = build_velocity_multigrid(system, params)
-        _, stats = cg(
+        _, stats = gmres(
             lambda u: apply_A(system.active, u), mg.vcycle, b, SolveControl(1e-8, 200, 50)
         )
         assert stats.converged
@@ -360,7 +383,7 @@ def test_smoothing_range_fifteen_beats_four():
     assert counts[0] < counts[1], counts
 
 
-def test_mass_multigrid_spd_and_linearity():
+def test_mass_multigrid_adjoint_and_linearity():
     mesh = build_hierarchy(2, 3)
     cfg = sinker_config(2, 2, 1e4, seed=2)
     field = restrict_viscosity(average_active_viscosity(mesh, cfg, make_gauss_rule(3, 2)), mesh)
@@ -371,8 +394,10 @@ def test_mass_multigrid_spd_and_linearity():
     p2 = rng.standard_normal(system.n_p)
     lin = mg.vcycle(p1 + p2) - mg.vcycle(p1) - mg.vcycle(p2)
     assert np.linalg.norm(lin) <= 1e-12 * np.linalg.norm(mg.vcycle(p1))
-    assert abs(mg.vcycle(p1) @ p2 - p1 @ mg.vcycle(p2)) <= 1e-10 * abs(mg.vcycle(p1) @ p2)
+    adj = mg.vcycle(p1) @ p2 - p1 @ oracle.vcycle_pre_only(mg, p2)
+    assert abs(adj) <= 1e-10 * abs(mg.vcycle(p1) @ p2)
     assert mg.vcycle(p1) @ p1 > 0.0
+    assert np.all(mg.vcycle(np.zeros(system.n_p)) == 0.0)
 
 
 def test_transfer_size_mismatch_rejected():
