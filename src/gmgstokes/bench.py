@@ -216,10 +216,13 @@ def memory_report(system, precond, peak: int) -> dict:
     n = system.n_dofs
     mesh_bytes = sum(ctx.lattices.nbytes for ctx in system.contexts)
     # scalar maps, plus what the operators hold: each level's combined
-    # velocity map and gather scratch, and the shared element matrices
+    # velocity map, per-cell scales and gather scratch, and the shared
+    # element matrices
     dof_bytes = sum(ld.q2_map.nbytes + ld.q1_map.nbytes for ld in system.dofmap.levels)
     dof_bytes += sum(
-        ctx.u_map.nbytes + sum(w.nbytes for w in ctx.work) for ctx in system.contexts
+        ctx.u_map.nbytes + ctx.a_scale.nbytes + ctx.mp_scale.nbytes
+        + sum(w.nbytes for w in ctx.work)
+        for ctx in system.contexts
     )
     dof_bytes += sum({id(c.elements): c.elements.nbytes for c in system.contexts}.values())
     cons_bytes = sum(ld.dirichlet_scalar.nbytes for ld in system.dofmap.levels)
@@ -248,19 +251,20 @@ def memory_report(system, precond, peak: int) -> dict:
 def chebyshev_report(precond) -> dict:
     """The polynomial degree shared by every Chebyshev smoother in the
     preconditioner, and each smoother's safety-scaled largest-eigenvalue
-    estimate ``lam_max`` and smoothing interval: each level of the velocity
-    hierarchy and, when built, of the mass hierarchy (coarsest first), and
-    the Schur mass-CG preconditioner when it is used."""
+    estimate ``lam_max`` and smoothing interval: levels 1..L of the velocity
+    hierarchy and, when built, of the mass hierarchy (coarsest first; level
+    0 is solved exactly and has no smoother), and the Schur mass-CG
+    preconditioner when it is used."""
 
     def entry(lam):
         return {"lam_max": lam, "interval": [lam / precond.params.alpha_low, lam]}
 
     out = {
         "degree": precond.params.degree,
-        "velocity": [entry(lv.lam_max) for lv in precond.velocity_mg.levels],
+        "velocity": [entry(lv.lam_max) for lv in precond.velocity_mg.levels[1:]],
     }
     if precond.mass_mg is not None:
-        out["mass"] = [entry(lv.lam_max) for lv in precond.mass_mg.levels]
+        out["mass"] = [entry(lv.lam_max) for lv in precond.mass_mg.levels[1:]]
     if precond.schur == "cg":
         out["schur_mass_cg"] = entry(precond.mp_smoother.lam_max)
     return out

@@ -10,6 +10,10 @@ Jacobi-preconditioned operator, targeting the upper part of the spectrum
 estimated by a short Lanczos run.  The V-cycle smooths only after the
 coarse correction, V(0,k), so a level costs k operator applications; it
 is linear but not symmetric, so it serves GMRES-type methods, not CG.
+The coarsest level is the single root cell and is never smoothed: its
+inverse is built once by probing the operator on its free unit vectors,
+and each coarse solve is a CG run preconditioned by that inverse, which
+converges in one iteration.
 """
 
 from __future__ import annotations
@@ -156,17 +160,69 @@ def chebyshev_smooth(params: ChebyshevParams, level: MGLevel, b, x0=None):
     return x
 
 
+class CoarseLevel:
+    """The coarsest V-cycle level, solved exactly: its operator, the
+    constrained indices of its scalar space, the number of components that
+    share them, and the operator's inverse.  The inverse is built by
+    probing ``op`` on the free unit vectors and inverting that block; the
+    constrained entries, on which the level operators act as the identity,
+    get the identity."""
+
+    def __init__(self, op, n: int, scalar_constrained=_NO_DOFS, components: int = 1):
+        self.op = op
+        self.scalar_constrained = scalar_constrained
+        self.components = components
+        free = np.ones((components, n // components), dtype=bool)
+        free[:, scalar_constrained] = False
+        free = np.flatnonzero(free)
+        block = np.empty((free.size, free.size))
+        e = np.zeros(n)
+        for j, i in enumerate(free):
+            e[i] = 1.0
+            block[:, j] = op(e)[free]
+            e[i] = 0.0
+        self.inverse = np.eye(n)
+        self.inverse[np.ix_(free, free)] = np.linalg.inv(block)
+
+    @property
+    def nbytes(self) -> int:
+        return self.inverse.nbytes
+
+    def solve(self, b, control: krylov.SolveControl):
+        """CG on the level operator, preconditioned by the inverse, so it
+        converges in one iteration while its residual test still checks
+        the inverse; returns ``krylov.cg``'s (x, stats)."""
+        return krylov.cg(self.op, lambda r: self.inverse @ r, b, control)
+
+
+def _level_operator(ctx: LevelOperatorContext, which: str):
+    """One level's viscous block (``which="A"``, with the level's Dirichlet
+    set on each of dim components) or pressure mass matrix (``"Mp"``): its
+    application, size, constrained scalar indices and component count.  The
+    application looks up ``apply_A``/``apply_Mp`` when called, so the
+    tracer's rebinding reaches it."""
+    if which == "A":
+        return (lambda v: apply_A(ctx, v)), ctx.n_u, ctx.dofs.dirichlet_scalar, ctx.dim
+    if which == "Mp":
+        return (lambda v: apply_Mp(ctx, v)), ctx.n_p, _NO_DOFS, 1
+    raise ValueError(f"unknown operator {which!r}, expected 'A' or 'Mp'")
+
+
 def smoother(ctx: LevelOperatorContext, which: str, params: ChebyshevParams) -> MGLevel:
-    """The Chebyshev smoother of one level's viscous block (``which="A"``,
-    with the level's Dirichlet set on each of dim components) or pressure
-    mass matrix (``"Mp"``): its exact diagonal and Lanczos estimate."""
-    apply = apply_A if which == "A" else apply_Mp
-    op = lambda v: apply(ctx, v)
+    """The Chebyshev smoother of one level's ``"A"`` or ``"Mp"`` operator:
+    its exact diagonal and Lanczos estimate."""
+    op, _, constrained, components = _level_operator(ctx, which)
     diag = compute_diagonal(ctx, which)
     lam = estimate_lambda_max(op, diag, params.eig_estimate_iters, params.alpha_high)
-    if which == "A":
-        return MGLevel(op, diag, lam, ctx.dofs.dirichlet_scalar, ctx.dim)
-    return MGLevel(op, diag, lam)
+    return MGLevel(op, diag, lam, constrained, components)
+
+
+def _hierarchy_levels(system: StokesSystem, which: str, params: ChebyshevParams) -> list:
+    """The exactly solved coarsest level, then a smoother on every finer one."""
+    coarse, *finer = system.contexts
+    return [CoarseLevel(*_level_operator(coarse, which))] + [
+        smoother(ctx, which, params) for ctx in finer
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +276,10 @@ def _per_axis(plan: TransferPlan, x, mat: np.ndarray) -> np.ndarray:
     x = x.reshape(lead + (m,) * plan.dim)
     # the last axis is x; each pass moves the transformed axis to the front
     # of the lattice, so after dim passes the axes are back in order
+    nl, last = len(lead), x.ndim - 1
+    order = (*range(nl), last, *range(nl, last))
     for _ in range(plan.dim):
-        x = np.moveaxis(x @ mat, -1, len(lead))
+        x = (x @ mat).transpose(order)
     return x.reshape(lead + (-1,))
 
 
@@ -253,9 +311,13 @@ COARSE_CG_MAX_ITERS = 100
 
 
 class Multigrid:
-    """V-cycle over a list of levels sharing one scalar transfer plan."""
+    """V-cycle over a list of levels sharing one scalar transfer plan:
+    ``levels[0]`` is the exactly solved :class:`CoarseLevel` and every finer
+    level an :class:`MGLevel` smoother.  The coarse solve counts the CG runs
+    that miss ``COARSE_CG_TOL`` within ``COARSE_CG_MAX_ITERS`` and the most
+    iterations one took."""
 
-    def __init__(self, levels: list[MGLevel], plan: TransferPlan, params: ChebyshevParams):
+    def __init__(self, levels: list, plan: TransferPlan, params: ChebyshevParams):
         self.levels = levels
         self.plan = plan
         self.params = params
@@ -267,7 +329,7 @@ class Multigrid:
         self.coarse_iters_max = 0
 
     def _coarse_solve(self, b: np.ndarray) -> np.ndarray:
-        x, stats = self.levels[0].cg(self.params, b, self.coarse_control)
+        x, stats = self.levels[0].solve(b, self.coarse_control)
         self.coarse_unconverged += not stats.converged
         self.coarse_iters_max = max(self.coarse_iters_max, stats.iterations)
         return x
@@ -293,14 +355,14 @@ def build_velocity_multigrid(
     system: StokesSystem, params: ChebyshevParams | None = None
 ) -> Multigrid:
     """GMG hierarchy for the viscous block, smoothing the fully coupled
-    strain-rate operator on every level."""
+    strain-rate operator on every level above the coarsest."""
     params = params or ChebyshevParams()
     plan = build_transfer_plan(system.mesh, 2)
-    return Multigrid([smoother(ctx, "A", params) for ctx in system.contexts], plan, params)
+    return Multigrid(_hierarchy_levels(system, "A", params), plan, params)
 
 
 def build_mass_multigrid(system: StokesSystem, params: ChebyshevParams | None = None) -> Multigrid:
     """GMG hierarchy for the viscosity-weighted pressure mass matrix."""
     params = params or ChebyshevParams()
     plan = build_transfer_plan(system.mesh, 1)
-    return Multigrid([smoother(ctx, "Mp", params) for ctx in system.contexts], plan, params)
+    return Multigrid(_hierarchy_levels(system, "Mp", params), plan, params)

@@ -101,6 +101,10 @@ class LevelOperatorContext:
     u_map: np.ndarray  # (n_cells, dim*L2) velocity indices, component-major
     u_constrained: np.ndarray  # velocity indices treated as identity rows
     counters: dict = field(default_factory=dict)
+    # per-cell scales of the viscous block, mu_c h**(dim-2), and of the
+    # pressure mass matrix, h**dim / mu_c
+    a_scale: np.ndarray = field(init=False, repr=False)
+    mp_scale: np.ndarray = field(init=False, repr=False)
     # scratch reused by every velocity application, so that a call
     # allocates only its result (fresh large arrays cost page faults):
     # masked input, gathered and local blocks.  One context therefore
@@ -110,6 +114,8 @@ class LevelOperatorContext:
     def __post_init__(self):
         if len(self.mu) != self.n_cells:
             raise ValueError("viscosity values must cover every cell on the level")
+        self.a_scale = self.mu * self.h ** (self.dim - 2)
+        self.mp_scale = self.h**self.dim / self.mu
         self.work = (np.empty(self.n_u), np.empty(self.u_map.shape), np.empty(self.u_map.shape))
 
     @property
@@ -182,7 +188,7 @@ def apply_A(ctx: LevelOperatorContext, u: np.ndarray) -> np.ndarray:
     mu_c h**(dim-2) per cell, one scatter; constrained rows act as the
     identity."""
     local = np.matmul(_gather_velocity(ctx, u), ctx.elements.A, out=ctx.work[2])
-    local *= (ctx.mu * ctx.h ** (ctx.dim - 2))[:, None]
+    local *= ctx.a_scale[:, None]
     out = _scatter(ctx.u_map, local, ctx.n_u)
     out[ctx.u_constrained] = u[ctx.u_constrained]
     ctx.count("apply_A")
@@ -213,7 +219,7 @@ def apply_Mp(ctx: LevelOperatorContext, p: np.ndarray) -> np.ndarray:
     """Viscosity-weighted pressure mass matrix: int (1/mu) phi^p_i phi^p_j."""
     _check_length(p, ctx.n_p, "pressure")
     local = np.take(p, ctx.dofs.q1_map) @ ctx.elements.Mp
-    local *= (ctx.h**ctx.dim / ctx.mu)[:, None]
+    local *= ctx.mp_scale[:, None]
     ctx.count("apply_Mp")
     return _scatter(ctx.dofs.q1_map, local, ctx.n_p)
 
@@ -251,12 +257,12 @@ def compute_diagonal(ctx: LevelOperatorContext, which: str) -> np.ndarray:
     """Exact diagonal of A or Mp: the per-cell scaling of the element
     matrix diagonal, scattered.  Constrained entries of A are set to 1."""
     if which == "A":
-        local = np.outer(ctx.mu * ctx.h ** (ctx.dim - 2), np.diag(ctx.elements.A))
+        local = np.outer(ctx.a_scale, np.diag(ctx.elements.A))
         out = _scatter(ctx.u_map, local, ctx.n_u)
         out[ctx.u_constrained] = 1.0
         return out
     if which == "Mp":
-        local = np.outer(ctx.h**ctx.dim / ctx.mu, np.diag(ctx.elements.Mp))
+        local = np.outer(ctx.mp_scale, np.diag(ctx.elements.Mp))
         return _scatter(ctx.dofs.q1_map, local, ctx.n_p)
     raise ValueError(f"unknown operator {which!r}, expected 'A' or 'Mp'")
 

@@ -260,7 +260,7 @@ def vcycle_pre_only(mg, b, level=None):
     if level is None:
         level = len(mg.levels) - 1
     if level == 0:
-        return mg.levels[0].cg(mg.params, b, mg.coarse_control)[0]
+        return mg.levels[0].solve(b, mg.coarse_control)[0]
     lv = mg.levels[level]
     x = chebyshev_smooth(mg.params, lv, b)
     r = (b - lv.op(x)).reshape(lv.components, -1)

@@ -67,7 +67,8 @@ def test_run_record_reports_chebyshev_intervals(schema, schur, smoothers):
     entries = [cheb["schur_mass_cg"]] if "schur_mass_cg" in cheb else []
     for hierarchy in ("velocity", "mass"):
         if hierarchy in cheb:
-            assert len(cheb[hierarchy]) == rec.config["levels"] + 1
+            # level 0 is solved exactly and has no smoother
+            assert len(cheb[hierarchy]) == rec.config["levels"]
             entries += cheb[hierarchy]
     for e in entries:
         assert e["interval"] == [e["lam_max"] / 15, e["lam_max"]]
@@ -132,6 +133,8 @@ def test_run_record_reports_worst_coarse_cg_count(schema, monkeypatch):
     assert set(worst) == {"velocity", "mass"}
     # with the mass V-cycle as Schur solve, every CG is a coarse solve
     assert max(worst.values()) == max(seen) > 0
+    # the coarse CG is preconditioned by the exact level-0 inverse
+    assert worst == {"velocity": 1, "mass": 1}
     assert "coarse_cg_iters_max" not in CSV_COLUMNS
 
 
@@ -402,10 +405,12 @@ def test_cli_threads_flag_overrides_preset_environment(tmp_path, schema, flag):
 
 
 def _cap_coarse_solves(monkeypatch):
-    """Make every hierarchy's coarse CG stop after one iteration."""
+    """Make every hierarchy's coarse CG stop before its first iteration;
+    one iteration converges, since it is preconditioned by the exact
+    inverse."""
     from gmgstokes import multigrid
 
-    monkeypatch.setattr(multigrid, "COARSE_CG_MAX_ITERS", 1)
+    monkeypatch.setattr(multigrid, "COARSE_CG_MAX_ITERS", 0)
 
 
 def test_unconverged_coarse_solve_flags_the_run(monkeypatch):

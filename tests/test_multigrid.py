@@ -19,7 +19,7 @@ from gmgstokes.multigrid import (
     prolongate,
     restrict,
 )
-from gmgstokes.operators import apply_A, compute_diagonal
+from gmgstokes.operators import apply_A, apply_Mp, compute_diagonal
 from gmgstokes.viscosity import average_active_viscosity, restrict_viscosity, sinker_config
 
 
@@ -212,13 +212,14 @@ def test_chebyshev_matches_analytic_polynomial():
 def test_chebyshev_buffers_bit_identical_to_reference(dim):
     # the smoother that keeps its residual and update in level buffers
     # gives the same bits as the recurrence with fresh temporaries, from a
-    # zero and from a given start, on the finest and the coarsest level
+    # zero and from a given start, on the finest and the coarsest smoothed
+    # level
     mesh = build_hierarchy(dim, 3)
     system = make_system(dim, 3, visc=random_viscosity(mesh, seed=dim))
     params = ChebyshevParams()
     rng = np.random.default_rng(20 + dim)
     for mg, kind in ((build_velocity_multigrid(system), "A"), (build_mass_multigrid(system), "Mp")):
-        for level in (0, len(mg.levels) - 1):
+        for level in (1, len(mg.levels) - 1):
             lv = mg.levels[level]
             diag = compute_diagonal(system.contexts[level], kind)
             for x0 in (None, rng.standard_normal(diag.size)):
@@ -228,6 +229,32 @@ def test_chebyshev_buffers_bit_identical_to_reference(dim):
                     params, lv.op, diag, b, x0=x0, lam_max=lv.lam_max
                 )
                 assert np.array_equal(got, want), (dim, kind, level, x0 is None)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_coarse_solve_is_exact(dim):
+    # level 0 is the root cell: its solve matches a dense solve of the
+    # materialized level-0 operator, constrained entries included, and every
+    # coarse CG run converges in one iteration
+    mesh = build_hierarchy(dim, 3)
+    system = make_system(dim, 3, visc=random_viscosity(mesh, seed=30 + dim))
+    rng = np.random.default_rng(30 + dim)
+    ctx = system.contexts[0]
+    cases = (
+        (build_velocity_multigrid(system), lambda v: apply_A(ctx, v), ctx.n_u),
+        (build_mass_multigrid(system), lambda v: apply_Mp(ctx, v), ctx.n_p),
+    )
+    for mg, op, n in cases:
+        coarse = mg.levels[0]
+        dense = oracle.materialize(op, n)
+        for _ in range(3):
+            b = rng.standard_normal(n)
+            x = mg.vcycle(b, 0)
+            want = np.linalg.solve(dense, b)
+            assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+        assert not hasattr(coarse, "lam_max") and not hasattr(coarse, "inv_diag")
+        assert mg.coarse_iters_max == 1
+        assert mg.coarse_unconverged == 0
 
 
 def test_vcycle_allocation_budget():
@@ -286,7 +313,8 @@ def test_vcycle_adjoint_is_pre_smoothing_cycle(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_vcycle_applies_each_operator_degree_times_per_level(dim):
     # one warm cycle costs exactly params.degree operator applications on
-    # every level above the coarsest: no pre-smoothing, no residual
+    # every level above the coarsest, no pre-smoothing and no residual, and
+    # one on the coarsest, the single iteration of its exact CG solve
     system = make_system(dim, 3)
     rng = np.random.default_rng(13)
     hierarchies = (build_velocity_multigrid(system), build_mass_multigrid(system))
@@ -297,7 +325,7 @@ def test_vcycle_applies_each_operator_degree_times_per_level(dim):
         before = [ctx.counters.get(op, 0) for ctx in system.contexts]
         mg.vcycle(b)
         calls = [ctx.counters.get(op, 0) - n for ctx, n in zip(system.contexts, before)]
-        assert calls[1:] == [mg.params.degree] * 2, (op, calls)
+        assert calls == [1] + [mg.params.degree] * 2, (op, calls)
 
 
 def test_vcycle_richardson_contraction():
@@ -398,6 +426,29 @@ def test_mass_multigrid_adjoint_and_linearity():
     assert abs(adj) <= 1e-10 * abs(mg.vcycle(p1) @ p2)
     assert mg.vcycle(p1) @ p1 > 0.0
     assert np.all(mg.vcycle(np.zeros(system.n_p)) == 0.0)
+
+
+def test_transfers_bit_identical_to_moveaxis_reference():
+    # each axis pass is one product and one fixed transpose; the reference
+    # moves the transformed axis with np.moveaxis
+    def reference(plan, x, mat):
+        lead = x.shape[:-1]
+        x = x.reshape(lead + (mat.shape[0],) * plan.dim)
+        for _ in range(plan.dim):
+            x = np.moveaxis(x @ mat, -1, len(lead))
+        return x.reshape(lead + (-1,))
+
+    rng = np.random.default_rng(14)
+    for dim, degree, plan, dofs, n in transfer_cases():
+        for level in (1, 2):
+            mat = plan.matrices[level]
+            for lead in ((), (dim,)):
+                coarse = rng.standard_normal(lead + (n[level - 1],))
+                fine = rng.standard_normal(lead + (n[level],))
+                assert np.array_equal(
+                    prolongate(plan, level, coarse), reference(plan, coarse, mat.T)
+                )
+                assert np.array_equal(restrict(plan, level, fine), reference(plan, fine, mat))
 
 
 def test_transfer_size_mismatch_rejected():
