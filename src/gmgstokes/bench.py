@@ -218,24 +218,22 @@ def memory_report(system, precond, peak: int) -> dict:
     # scalar maps, plus what the operators hold: each level's combined
     # velocity map, per-cell scales and gather scratch, and the shared
     # element matrices
-    dof_bytes = sum(ld.q2_map.nbytes + ld.q1_map.nbytes for ld in system.dofmap.levels)
-    dof_bytes += sum(
-        ctx.u_map.nbytes + ctx.a_scale.nbytes + ctx.mp_scale.nbytes
+    dof_bytes = sum(
+        ctx.dofs.q2_map.nbytes + ctx.dofs.q1_map.nbytes
+        + ctx.u_map.nbytes + ctx.a_scale.nbytes + ctx.mp_scale.nbytes
         + sum(w.nbytes for w in ctx.work)
         for ctx in system.contexts
     )
     dof_bytes += sum({id(c.elements): c.elements.nbytes for c in system.contexts}.values())
-    cons_bytes = sum(ld.dirichlet_scalar.nbytes for ld in system.dofmap.levels)
-    cons_bytes += sum(ctx.u_constrained.nbytes for ctx in system.contexts)
-    mg_bytes = 0
+    cons_bytes = sum(
+        ctx.dofs.dirichlet_scalar.nbytes + ctx.u_constrained.nbytes for ctx in system.contexts
+    )
+    mg_bytes = sum(ctx.mu.nbytes for ctx in system.contexts)
     for mg in (precond.velocity_mg, precond.mass_mg):
         if mg is None:
             continue
         mg_bytes += sum(m.nbytes for m in mg.plan.matrices if m is not None)
         mg_bytes += sum(lv.nbytes for lv in mg.levels)
-    for vals in system.visc.values:
-        if vals is not None:
-            mg_bytes += vals.nbytes
     return {
         "mesh_bytes": int(mesh_bytes),
         "dofmap_bytes": int(dof_bytes),
@@ -270,12 +268,12 @@ def chebyshev_report(precond) -> dict:
     return out
 
 
-def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json") -> RunRecord:
+def run_benchmark(cfg: RunConfig) -> RunRecord:
     """Build, solve, and record one sinker benchmark configuration."""
     import numpy as np
 
     from . import krylov
-    from .fem import BlockVector, distribute_dofs, make_gauss_rule
+    from .fem import distribute_dofs, make_gauss_rule
     from .mesh import build_hierarchy
     from .operators import StokesSystem, assemble_rhs
     from .precond import StokesPreconditioner, normalize_pressure
@@ -286,7 +284,7 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
 
     t0 = time.perf_counter()
     mesh = build_hierarchy(cfg.dim, cfg.levels + 1)
-    dofmap = distribute_dofs(mesh)
+    dofs = distribute_dofs(mesh)
     t_setup = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -302,27 +300,25 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
     )
     record.config["centers"] = sk.centers.tolist()
     rule = make_gauss_rule(3, cfg.dim)
-    visc = restrict_viscosity(average_active_viscosity(mesh, sk, rule), mesh)
-    system = StokesSystem(mesh, dofmap, visc, rule)
+    mu = restrict_viscosity(average_active_viscosity(mesh, sk, rule), mesh)
+    system = StokesSystem(mesh, dofs, mu, rule)
     precond = StokesPreconditioner(system, shape=cfg.precond_shape, schur=cfg.schur)
-    b = assemble_rhs(system.active, sk)
-    b = normalize_pressure(b, system.pressure_weights())
+    b = normalize_pressure(assemble_rhs(system.active, sk), system.pressure_weights())
     t_assemble = time.perf_counter() - t1
 
     record.n_u, record.n_p, record.n_dofs = system.n_u, system.n_p, system.n_dofs
 
     t2 = time.perf_counter()
-    bf = b.flat()
     counters_before = [dict(c.counters) for c in system.contexts]
     control = krylov.SolveControl(
         reduction_target=cfg.reduction, max_iters=cfg.max_iters, restart_length=cfg.restart
     )
     if cfg.solver == "gmres":
-        x, stats = krylov.gmres(system.apply_flat, precond.apply_flat, bf, control)
+        x, stats = krylov.gmres(system.apply_flat, precond.apply, b, control)
     elif cfg.solver == "fgmres":
-        x, stats = krylov.fgmres(system.apply_flat, precond.apply_flat, bf, control)
+        x, stats = krylov.fgmres(system.apply_flat, precond.apply, b, control)
     else:
-        x, stats = krylov.idr_s(system.apply_flat, precond.apply_flat, bf, cfg.idr_s, control)
+        x, stats = krylov.idr_s(system.apply_flat, precond.apply, b, cfg.idr_s, control)
     t_solve = time.perf_counter() - t2
 
     # operator applications per level during the solve, taken before the
@@ -345,9 +341,9 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
         record.model_flops_per_vcycle = mg_flops / vcycles
         record.model_flops_per_dof = record.model_flops_per_vcycle / system.n_u
 
-    sol = normalize_pressure(BlockVector.from_flat(x, system.n_u), system.pressure_weights())
-    r_check = bf - system.apply_flat(sol.flat())
-    b_norm = float(np.linalg.norm(bf))
+    sol = normalize_pressure(x, system.pressure_weights())
+    r_check = b - system.apply_flat(sol)
+    b_norm = float(np.linalg.norm(b))
     true_res = float(np.linalg.norm(r_check))
 
     record.iterations = stats.iterations
@@ -384,9 +380,6 @@ def run_benchmark(cfg: RunConfig, out_path: str | None = None, fmt: str = "json"
         kind: mg.coarse_iters_max for kind, mg in hierarchies.items() if mg is not None
     }
     record.environment = {"threads": {var: os.environ.get(var) for var in THREAD_VARS}}
-
-    if out_path:
-        write_record(record, out_path, fmt)
     return record
 
 

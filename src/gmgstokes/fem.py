@@ -4,12 +4,14 @@ Implements the continuous Q2 velocity / Q1 pressure pair on the uniform
 Cartesian hierarchy.  Scalar degrees of freedom sit on the tensor grid of
 equispaced support points of each level (spacing h/degree); they are
 numbered lexicographically with x fastest.  A velocity vector stores the
-``dim`` component blocks back to back, each of length ``n_scalar``.
+``dim`` component blocks back to back, each of length ``n_scalar``, and a
+saddle-point vector is one flat array: the velocity ``u`` (``n_u = dim *
+n_scalar`` entries) followed by the pressure ``p`` (``n_p`` entries).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,37 +124,11 @@ def tabulate(degree: int, dim: int, rule: QuadratureRule) -> BasisTables:
 class LevelDofs:
     """Scalar dof maps of one level for the Q2 and Q1 spaces."""
 
-    level: int
-    h: float
-    n_cells: int
     q2_map: np.ndarray  # (n_cells, 3**dim) scalar Q2 indices
     q1_map: np.ndarray  # (n_cells, 2**dim) scalar Q1 indices
     n_scalar: int  # Q2 dofs per velocity component
     n_p: int
     dirichlet_scalar: np.ndarray  # Q2 indices with support point on the boundary
-
-    def velocity_constrained(self, dim: int) -> np.ndarray:
-        """Boundary indices expanded over the component blocks."""
-        offs = np.arange(dim) * self.n_scalar
-        return (self.dirichlet_scalar[None, :] + offs[:, None]).ravel()
-
-
-@dataclass
-class DofMap:
-    dim: int
-    levels: list[LevelDofs] = field(default_factory=list)
-
-    @property
-    def active(self) -> LevelDofs:
-        return self.levels[-1]
-
-    @property
-    def n_u(self) -> int:
-        return self.dim * self.active.n_scalar
-
-    @property
-    def n_p(self) -> int:
-        return self.active.n_p
 
 
 def _grid_boundary_indices(m: int, dim: int) -> np.ndarray:
@@ -165,23 +141,20 @@ def _cell_map(lattices: np.ndarray, degree: int, m: int, dim: int) -> np.ndarray
     return glob @ m ** np.arange(dim)
 
 
-def distribute_dofs(mesh: MeshHierarchy) -> DofMap:
-    """Number the Q2/Q1 dofs of every level.
+def distribute_dofs(mesh: MeshHierarchy) -> list[LevelDofs]:
+    """Number the Q2/Q1 dofs of every level, coarsest first.
 
     Support points shared between cells receive one global index, which
     gives C0 continuity by construction.
     """
-    dm = DofMap(dim=mesh.dim)
+    out = []
     for level in range(mesh.n_levels):
         n = mesh.cells_per_axis(level)
         m2 = 2 * n + 1
         m1 = n + 1
         lat = mesh.cell_lattices(level)
-        dm.levels.append(
+        out.append(
             LevelDofs(
-                level=level,
-                h=mesh.h(level),
-                n_cells=mesh.n_cells(level),
                 q2_map=_cell_map(lat, 2, m2, mesh.dim),
                 q1_map=_cell_map(lat, 1, m1, mesh.dim),
                 n_scalar=m2**mesh.dim,
@@ -189,29 +162,7 @@ def distribute_dofs(mesh: MeshHierarchy) -> DofMap:
                 dirichlet_scalar=_grid_boundary_indices(m2, mesh.dim),
             )
         )
-    return dm
-
-
-# ---------------------------------------------------------------------------
-# Block vectors
-
-
-@dataclass
-class BlockVector:
-    """Velocity/pressure coefficient pair in the layout of the saddle system."""
-
-    u: np.ndarray
-    p: np.ndarray
-
-    def copy(self) -> "BlockVector":
-        return BlockVector(self.u.copy(), self.p.copy())
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.u, self.p])
-
-    @classmethod
-    def from_flat(cls, x: np.ndarray, n_u: int) -> "BlockVector":
-        return cls(x[:n_u], x[n_u:])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,17 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import (
-    BlockVector,
-    DofMap,
-    LevelDofs,
-    QuadratureRule,
-    cell_quad_points,
-    make_gauss_rule,
-    tabulate,
-)
+from .fem import LevelDofs, QuadratureRule, cell_quad_points, make_gauss_rule, tabulate
 from .mesh import MeshHierarchy
-from .viscosity import SinkerConfig, ViscosityField, forcing
+from .viscosity import SinkerConfig, forcing
 
 
 @dataclass(frozen=True)
@@ -119,10 +111,6 @@ class LevelOperatorContext:
         self.work = (np.empty(self.n_u), np.empty(self.u_map.shape), np.empty(self.u_map.shape))
 
     @property
-    def n_scalar(self) -> int:
-        return self.dofs.n_scalar
-
-    @property
     def n_u(self) -> int:
         return self.dim * self.dofs.n_scalar
 
@@ -135,30 +123,26 @@ class LevelOperatorContext:
 
 
 def make_level_context(
-    mesh: MeshHierarchy,
-    dofmap: DofMap,
-    visc: ViscosityField,
-    level: int,
-    rule: QuadratureRule | None = None,
+    mesh: MeshHierarchy, dofs: LevelDofs, mu: np.ndarray, level: int, rule: QuadratureRule
 ) -> LevelOperatorContext:
-    """Assemble the per-level context."""
+    """The context of ``level`` from its dof maps and cell viscosities.  The
+    velocity maps and the constrained set take every component block: the
+    component offset plus the scalar index."""
     dim = mesh.dim
-    rule = rule or make_gauss_rule(3, dim)
-    ld = dofmap.levels[level]
-    offsets = np.arange(dim)[None, :, None] * ld.n_scalar
-    u_map = (offsets + ld.q2_map[:, None, :]).reshape(ld.n_cells, -1)
+    offsets = np.arange(dim)[:, None] * dofs.n_scalar
+    u_map = (offsets[None] + dofs.q2_map[:, None, :]).reshape(mesh.n_cells(level), -1)
     return LevelOperatorContext(
         dim=dim,
         level=level,
         h=mesh.h(level),
         n_cells=mesh.n_cells(level),
         lattices=mesh.cell_lattices(level),
-        dofs=ld,
-        mu=visc.level(level),
+        dofs=dofs,
+        mu=mu,
         rule=rule,
         elements=_element_matrices(dim, rule),
         u_map=u_map,
-        u_constrained=ld.velocity_constrained(dim),
+        u_constrained=(offsets + dofs.dirichlet_scalar).ravel(),
     )
 
 
@@ -224,31 +208,33 @@ def apply_Mp(ctx: LevelOperatorContext, p: np.ndarray) -> np.ndarray:
     return _scatter(ctx.dofs.q1_map, local, ctx.n_p)
 
 
-def apply_stokes(ctx: LevelOperatorContext, x: BlockVector) -> BlockVector:
-    """Full saddle-point operator (A u + B^T p, B u)."""
-    return BlockVector(apply_A(ctx, x.u) + apply_Bt(ctx, x.p), apply_B(ctx, x.u))
+def apply_stokes(ctx: LevelOperatorContext, x: np.ndarray) -> np.ndarray:
+    """Full saddle-point operator on the stacked ``(u, p)``: ``(A u + B^T p, B u)``."""
+    u, p = x[: ctx.n_u], x[ctx.n_u :]
+    return np.concatenate([apply_A(ctx, u) + apply_Bt(ctx, p), apply_B(ctx, u)])
 
 
 def assemble_rhs_function(
     ctx: LevelOperatorContext,
     f,
     rule: QuadratureRule | None = None,
-) -> BlockVector:
-    """Velocity load vector int phi_i . f for an arbitrary forcing callback
-    ``f(points) -> (n, dim)``; the pressure part is zero and constrained
-    velocity entries are zeroed."""
+) -> np.ndarray:
+    """Stacked load vector ``(F, 0)``, with F_i = int phi_i . f for an
+    arbitrary forcing callback ``f(points) -> (n, dim)`` and its
+    constrained entries zeroed."""
     rule = rule or ctx.rule
     q2 = tabulate(2, ctx.dim, rule)
     pts = cell_quad_points(ctx.lattices, ctx.h, rule)
     fv = np.asarray(f(pts.reshape(-1, ctx.dim))).reshape(ctx.n_cells, rule.n, ctx.dim)
     fw = (fv * rule.weights[None, :, None]).transpose(0, 2, 1)  # (nc, dim, n_q)
     local = (fw @ q2.values).reshape(ctx.n_cells, -1) * ctx.h**ctx.dim
-    out = _scatter(ctx.u_map, local, ctx.n_u)
+    # the velocity indices lie below n_u, so the pressure part stays zero
+    out = _scatter(ctx.u_map, local, ctx.n_u + ctx.n_p)
     out[ctx.u_constrained] = 0.0
-    return BlockVector(out, np.zeros(ctx.n_p))
+    return out
 
 
-def assemble_rhs(ctx: LevelOperatorContext, cfg: SinkerConfig) -> BlockVector:
+def assemble_rhs(ctx: LevelOperatorContext, cfg: SinkerConfig) -> np.ndarray:
     """Load vector of the sinker forcing on the context's level."""
     return assemble_rhs_function(ctx, lambda x: forcing(x, cfg))
 
@@ -283,16 +269,14 @@ class StokesSystem:
     def __init__(
         self,
         mesh: MeshHierarchy,
-        dofmap: DofMap,
-        visc: ViscosityField,
+        dofs: list[LevelDofs],
+        mu: list[np.ndarray],
         rule: QuadratureRule | None = None,
     ):
         self.mesh = mesh
-        self.dofmap = dofmap
-        self.visc = visc
         self.rule = rule or make_gauss_rule(3, mesh.dim)
         self.contexts = [
-            make_level_context(mesh, dofmap, visc, level, self.rule)
+            make_level_context(mesh, dofs[level], mu[level], level, self.rule)
             for level in range(mesh.n_levels)
         ]
         self.active = self.contexts[-1]
@@ -310,11 +294,8 @@ class StokesSystem:
     def n_dofs(self) -> int:
         return self.n_u + self.n_p
 
-    def apply(self, x: BlockVector) -> BlockVector:
-        return apply_stokes(self.active, x)
-
     def apply_flat(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(BlockVector.from_flat(x, self.n_u)).flat()
+        return apply_stokes(self.active, x)
 
     def pressure_weights(self) -> np.ndarray:
         if self._pressure_weights is None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import krylov
-from .fem import BlockVector
 from .multigrid import ChebyshevParams, build_mass_multigrid, build_velocity_multigrid, smoother
 from .operators import StokesSystem, apply_Bt, compute_diagonal
 
@@ -32,15 +31,17 @@ SCHUR_CG_TOL = 1e-2
 SCHUR_CG_MAX_ITERS = 100
 
 
-def normalize_pressure(x: BlockVector, weights: np.ndarray) -> BlockVector:
-    """Shift the pressure so its mass-weighted mean vanishes.
+def normalize_pressure(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """A copy of the stacked ``(u, p)`` with the pressure shifted so its
+    mass-weighted mean vanishes.
 
     ``weights`` holds the integrals of the pressure basis functions, so
     weights . p is the integral of the pressure field and the domain has
-    unit volume.
+    unit volume; its length is that of the pressure part.
     """
     out = x.copy()
-    out.p -= (weights @ out.p) / weights.sum()
+    p = out[out.size - weights.size :]
+    p -= (weights @ p) / weights.sum()
     return out
 
 
@@ -87,13 +88,10 @@ class StokesPreconditioner:
         """Approximate application of A^-1: one velocity V-cycle."""
         return self.velocity_mg.vcycle(r_u)
 
-    def apply(self, r: BlockVector) -> BlockVector:
-        p = -self.schur_apply(r.p)
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        """The block preconditioner on a stacked residual ``(r_u, r_p)``."""
+        r_u, r_p = r[: self.system.n_u], r[self.system.n_u :]
+        p = -self.schur_apply(r_p)
         if self.shape == "triangular":
-            u = self.a_apply(r.u - apply_Bt(self.system.active, p))
-        else:
-            u = self.a_apply(r.u)
-        return BlockVector(u, p)
-
-    def apply_flat(self, r: np.ndarray) -> np.ndarray:
-        return self.apply(BlockVector.from_flat(r, self.system.n_u)).flat()
+            r_u = r_u - apply_Bt(self.system.active, p)
+        return np.concatenate([self.a_apply(r_u), p])

@@ -10,7 +10,7 @@ and pulls the sinkers down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,23 +105,11 @@ def forcing(x, cfg: SinkerConfig) -> np.ndarray:
     return out if x.ndim > 1 else out[0]
 
 
-@dataclass
-class ViscosityField:
-    """Harmonically averaged cell viscosities, one value per cell per level."""
-
-    values: list[np.ndarray | None] = field(default_factory=list)
-
-    def level(self, level: int) -> np.ndarray:
-        v = self.values[level]
-        if v is None:
-            raise ValueError(f"viscosity not filled on level {level}")
-        return v
-
-
 def average_active_viscosity(
     mesh: MeshHierarchy, cfg: SinkerConfig, rule: QuadratureRule
-) -> ViscosityField:
-    """Harmonic mean of pointwise viscosity over each active cell's rule points.
+) -> np.ndarray:
+    """Harmonic mean of pointwise viscosity over each active cell's rule
+    points, one value per active cell.
 
     The mean is unweighted: value = n_q / sum_k 1/mu(x_k).
     """
@@ -130,22 +118,19 @@ def average_active_viscosity(
     vals = mu(pts, cfg).reshape(mesh.n_cells(level), rule.n)
     if np.any(vals <= 0.0):
         raise ValueError("viscosity must be strictly positive at quadrature points")
-    cellwise = rule.n / np.sum(1.0 / vals, axis=1)
-    field_ = ViscosityField([None] * mesh.n_levels)
-    field_.values[level] = cellwise
-    return field_
+    return rule.n / np.sum(1.0 / vals, axis=1)
 
 
-def restrict_viscosity(field_: ViscosityField, mesh: MeshHierarchy) -> ViscosityField:
-    """Fill every coarse level with the arithmetic mean of the child values."""
-    out = ViscosityField([None] * mesh.n_levels)
-    out.values[mesh.active_level] = field_.level(mesh.active_level).copy()
-    dim = mesh.dim
+def restrict_viscosity(active: np.ndarray, mesh: MeshHierarchy) -> list[np.ndarray]:
+    """One cell viscosity array per level, coarsest first: ``active`` on the
+    active level and, on every coarser one, the arithmetic mean of the
+    child values."""
+    out = [active]
     for level in range(mesh.active_level, 0, -1):
         n = mesh.cells_per_axis(level)
         # cell index is x-fastest, so the child 0/1 offset is the fastest
         # axis of each (2, n/2) pair in a Fortran-order reshape
-        blocks = out.values[level].reshape((2, n // 2) * dim, order="F")
-        coarse = blocks.mean(axis=tuple(range(0, 2 * dim, 2)))
-        out.values[level - 1] = coarse.ravel(order="F")
+        blocks = out[0].reshape((2, n // 2) * mesh.dim, order="F")
+        coarse = blocks.mean(axis=tuple(range(0, 2 * mesh.dim, 2)))
+        out.insert(0, coarse.ravel(order="F"))
     return out

@@ -93,15 +93,14 @@ def velocity_indices(ld, dim: int) -> np.ndarray:
     return (ld.dirichlet_scalar[None, :] + offs[:, None]).ravel()
 
 
-def assemble_A(mesh, dofmap, level, mu_cells, rule, constrain=True):
+def assemble_A(mesh, ld: LevelDofs, level, mu_cells, rule, constrain=True):
     dim = mesh.dim
-    ld = dofmap.levels[level]
-    h = ld.h
+    h = mesh.h(level)
     _, grads = local_basis(2, dim, rule)
     l2 = grads.shape[1]
     n = dim * ld.n_scalar
     mat = np.zeros((n, n))
-    for c in range(ld.n_cells):
+    for c in range(mesh.n_cells(level)):
         kloc = np.zeros((dim, l2, dim, l2))
         for q in range(rule.n):
             gph = grads[q] / h  # physical gradients, (l2, dim)
@@ -121,16 +120,15 @@ def assemble_A(mesh, dofmap, level, mu_cells, rule, constrain=True):
     return mat
 
 
-def assemble_B(mesh, dofmap, level, rule, constrain=True):
+def assemble_B(mesh, ld: LevelDofs, level, rule, constrain=True):
     dim = mesh.dim
-    ld = dofmap.levels[level]
-    h = ld.h
+    h = mesh.h(level)
     _, grads2 = local_basis(2, dim, rule)
     vals1, _ = local_basis(1, dim, rule)
     l2 = grads2.shape[1]
     l1 = vals1.shape[1]
     mat = np.zeros((ld.n_p, dim * ld.n_scalar))
-    for c in range(ld.n_cells):
+    for c in range(mesh.n_cells(level)):
         bloc = np.zeros((l1, dim, l2))
         for q in range(rule.n):
             gph = grads2[q] / h
@@ -146,13 +144,12 @@ def assemble_B(mesh, dofmap, level, rule, constrain=True):
     return mat
 
 
-def assemble_Mp(mesh, dofmap, level, mu_cells, rule):
+def assemble_Mp(mesh, ld: LevelDofs, level, mu_cells, rule):
     dim = mesh.dim
-    ld = dofmap.levels[level]
-    h = ld.h
+    h = mesh.h(level)
     vals1, _ = local_basis(1, dim, rule)
     mat = np.zeros((ld.n_p, ld.n_p))
-    for c in range(ld.n_cells):
+    for c in range(mesh.n_cells(level)):
         mloc = np.zeros((vals1.shape[1],) * 2)
         for q in range(rule.n):
             mloc += (rule.weights[q] * h**dim / mu_cells[c]) * np.outer(
@@ -162,14 +159,13 @@ def assemble_Mp(mesh, dofmap, level, mu_cells, rule):
     return mat
 
 
-def assemble_rhs(mesh: MeshHierarchy, dofmap, level, f, rule, constrain=True):
+def assemble_rhs(mesh: MeshHierarchy, ld: LevelDofs, level, f, rule, constrain=True):
     dim = mesh.dim
-    ld = dofmap.levels[level]
-    h = ld.h
+    h = mesh.h(level)
     vals2, _ = local_basis(2, dim, rule)
     lat = mesh.cell_lattices(level)
     vec = np.zeros(dim * ld.n_scalar)
-    for c in range(ld.n_cells):
+    for c in range(mesh.n_cells(level)):
         for q in range(rule.n):
             x = (lat[c] + rule.points[q]) * h
             fx = np.asarray(f(x[None, :]))[0]
@@ -206,7 +202,7 @@ def evaluate_scalar(
 ) -> np.ndarray:
     """Evaluate a scalar FE function at arbitrary points of [0,1]^dim."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = int(round(1.0 / dofs.h))
+    n = int(round(len(dofs.q1_map) ** (1.0 / dim)))
     lat = np.minimum(np.floor(points * n).astype(np.int64), n - 1)
     loc = points * n - lat
     cell = np.zeros(len(points), dtype=np.int64)

@@ -13,7 +13,7 @@ import pytest
 import oracle
 from conftest import make_system, random_viscosity
 from gmgstokes.bench import RunConfig, run_benchmark
-from gmgstokes.fem import BlockVector, cell_quad_points, make_gauss_rule, tabulate
+from gmgstokes.fem import cell_quad_points, make_gauss_rule, tabulate
 from gmgstokes.krylov import SolveControl, fgmres, gmres
 from gmgstokes.mesh import build_hierarchy
 from gmgstokes.operators import (
@@ -71,12 +71,12 @@ def test_exact_preconditioner_identity():
     system = make_system(2, 2)
     pc = oracle.exact_preconditioner(system)
     rng = np.random.default_rng(0)
-    b = BlockVector(rng.standard_normal(system.n_u), rng.standard_normal(system.n_p))
-    b.u.reshape(2, -1)[:, system.dofmap.active.dirichlet_scalar] = 0.0
-    b.p -= b.p.mean()
-    bf = b.flat()
-    x, stats = gmres(system.apply_flat, pc.apply_flat, bf, SolveControl(1e-10, 10, 10))
-    res = np.linalg.norm(bf - system.apply_flat(x)) / np.linalg.norm(bf)
+    b = rng.standard_normal(system.n_dofs)
+    b[system.active.u_constrained] = 0.0
+    p = b[system.n_u :]
+    p -= p.mean()
+    x, stats = gmres(system.apply_flat, pc.apply, b, SolveControl(1e-10, 10, 10))
+    res = np.linalg.norm(b - system.apply_flat(x)) / np.linalg.norm(b)
     ok = stats.converged and stats.iterations <= 3 and res <= 1e-10
     report(
         "exact-preconditioner identity",
@@ -102,12 +102,12 @@ def test_matrix_free_oracle_equivalence():
             visc = random_viscosity(mesh, seed=dim * 10 + n_levels)
             system = make_system(dim, n_levels, visc=visc)
             lvl = mesh.active_level
-            mats = {
-                apply_A: oracle.assemble_A(mesh, system.dofmap, lvl, visc.level(lvl), system.rule),
-                apply_B: oracle.assemble_B(mesh, system.dofmap, lvl, system.rule),
-                apply_Mp: oracle.assemble_Mp(mesh, system.dofmap, lvl, visc.level(lvl), system.rule),
-            }
             ctx = system.active
+            mats = {
+                apply_A: oracle.assemble_A(mesh, ctx.dofs, lvl, visc[lvl], system.rule),
+                apply_B: oracle.assemble_B(mesh, ctx.dofs, lvl, system.rule),
+                apply_Mp: oracle.assemble_Mp(mesh, ctx.dofs, lvl, visc[lvl], system.rule),
+            }
             rng = np.random.default_rng(99)
             for _ in range(20):
                 u = rng.standard_normal(ctx.n_u)
@@ -152,18 +152,16 @@ def test_gmg_iteration_constancy_under_refinement(sinker3d_counts):
 
     def level3_average(mesh, cfg, rule):
         coarse_mesh = build_hierarchy(mesh.dim, coarse + 1)
-        coarse_mu = base_average(coarse_mesh, cfg, rule).level(coarse)
+        coarse_mu = base_average(coarse_mesh, cfg, rule)
         ancestor = mesh.cell_lattices(mesh.active_level) // 2 ** (mesh.active_level - coarse)
         idx = sum(ancestor[:, a] * 2 ** (coarse * a) for a in range(mesh.dim))
-        out = viscosity.ViscosityField([None] * mesh.n_levels)
-        out.values[mesh.active_level] = coarse_mu[idx]
-        return out
+        return coarse_mu[idx]
 
     base_restrict = viscosity.restrict_viscosity
     solved = []  # the restricted field each run hands to its StokesSystem
 
-    def observed_restrict(field_, mesh):
-        out = base_restrict(field_, mesh)
+    def observed_restrict(active, mesh):
+        out = base_restrict(active, mesh)
         solved.append(out)
         return out
 
@@ -193,14 +191,14 @@ def test_gmg_iteration_constancy_under_refinement(sinker3d_counts):
             f"fixed coefficient, refinement {levels}: converged={rec.converged}, flag={rec.flag!r}"
         )
     assert len(solved) == 3, "run_benchmark did not take the fixed coefficient"
-    mu3 = solved[0].level(coarse)
+    mu3 = solved[0][coarse]
     contrast = mu3.max() / mu3.min()
-    for levels, field_ in zip((3, 4, 5), solved):
-        active = field_.level(levels)
+    for levels, mu in zip((3, 4, 5), solved):
+        active = mu[levels]
         assert np.array_equal(np.unique(active), np.unique(mu3)), (
             f"refinement {levels} solved a coefficient other than the level-3 cell values"
         )
-        np.testing.assert_allclose(field_.level(coarse), mu3, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(mu[coarse], mu3, rtol=1e-13, atol=0.0)
 
     its = [rec.iterations for rec in records]
     sinker_its = [sinker3d_counts[("triangular", lv)] for lv in (3, 4, 5)]
@@ -322,9 +320,10 @@ def manufactured_errors(n_levels):
     )
     b = assemble_rhs_function(system.active, force, rhs_rule)
     pc = oracle.exact_preconditioner(system)
-    x, stats = gmres(system.apply_flat, pc.apply_flat, b.flat(), SolveControl(1e-12, 10, 10))
+    x, stats = gmres(system.apply_flat, pc.apply, b, SolveControl(1e-12, 10, 10))
     assert stats.converged
-    sol = normalize_pressure(BlockVector.from_flat(x, system.n_u), system.pressure_weights())
+    sol = normalize_pressure(x, system.pressure_weights())
+    sol_u, sol_p = sol[: system.n_u], sol[system.n_u :]
 
     err_rule = make_gauss_rule(4, 2)
     q2 = tabulate(2, 2, err_rule)
@@ -334,10 +333,10 @@ def manufactured_errors(n_levels):
     h = ctx.h
     eu = 0.0
     for a, name in ((0, "ux"), (1, "uy")):
-        vals = sol.u.reshape(2, -1)[a][ctx.dofs.q2_map] @ q2.values.T
+        vals = sol_u.reshape(2, -1)[a][ctx.dofs.q2_map] @ q2.values.T
         exact = fns[name](pts[:, 0], pts[:, 1]).reshape(vals.shape)
         eu += np.sum((vals - exact) ** 2 * err_rule.weights[None, :]) * h**2
-    pv = sol.p[ctx.dofs.q1_map] @ q1.values.T
+    pv = sol_p[ctx.dofs.q1_map] @ q1.values.T
     pe = fns["p"](pts[:, 0], pts[:, 1]).reshape(pv.shape)
     diff = pv - pe
     mean = np.sum(diff * err_rule.weights[None, :]) * h**2
@@ -372,13 +371,13 @@ def test_schur_mass_spectral_equivalence():
     widths = {}
     for n_levels in (1, 2):
         system = make_system(2, n_levels)
-        mesh, dm = system.mesh, system.dofmap
+        mesh, ld = system.mesh, system.active.dofs
         lvl = mesh.active_level
         mu = np.ones(mesh.n_cells(lvl))
-        amat = oracle.assemble_A(mesh, dm, lvl, mu, system.rule, constrain=False)
-        bmat = oracle.assemble_B(mesh, dm, lvl, system.rule, constrain=False)
-        mp = oracle.assemble_Mp(mesh, dm, lvl, mu, system.rule)
-        free = oracle.free_velocity_indices(dm.levels[lvl], 2)
+        amat = oracle.assemble_A(mesh, ld, lvl, mu, system.rule, constrain=False)
+        bmat = oracle.assemble_B(mesh, ld, lvl, system.rule, constrain=False)
+        mp = oracle.assemble_Mp(mesh, ld, lvl, mu, system.rule)
+        free = oracle.free_velocity_indices(ld, 2)
         schur = bmat[:, free] @ np.linalg.solve(amat[np.ix_(free, free)], bmat[:, free].T)
         lam = sla.eigh(schur, mp, eigvals_only=True)
         widths[n_levels] = float(lam.max() - lam.min())

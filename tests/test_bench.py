@@ -435,3 +435,33 @@ def test_cli_flagged_run_exit_code(tmp_path, monkeypatch):
     assert data["converged"] is True
     assert "coarse_solve_unconverged" in data["flag"].split(";")
     assert code == 2
+
+
+def test_false_convergence_flags_residual_check_failed(tmp_path, monkeypatch):
+    # FGMRES claims convergence but hands back 1.5 times its solution, so
+    # the true residual is half the right-hand side: the record and the
+    # exit code must show it
+    from gmgstokes import krylov
+
+    solve = krylov.fgmres
+
+    def skewed(*args, **kwargs):
+        x, stats = solve(*args, **kwargs)
+        return 1.5 * x, stats
+
+    monkeypatch.setattr(krylov, "fgmres", skewed)
+    rec = run_benchmark(small_cfg())
+    assert rec.converged
+    assert rec.reduction_achieved == pytest.approx(0.5, rel=1e-9)
+    assert "residual_check_failed" in rec.flag.split(";")
+    out = tmp_path / "record.json"
+    code = main(
+        [
+            "run", "--dim", "2", "--levels", "2", "--sinkers", "1",
+            "--dynamic-ratio", "100", "--seed", "3", "--out", str(out),
+        ]
+    )
+    data = json.loads(out.read_text())
+    assert data["converged"] is True
+    assert "residual_check_failed" in data["flag"].split(";")
+    assert code == 2

@@ -13,7 +13,6 @@ from oracle import (
 )
 
 from gmgstokes.fem import (
-    BlockVector,
     QuadratureRule,
     _grid_boundary_indices,
     distribute_dofs,
@@ -104,20 +103,19 @@ def test_cellwise_quadrature_volume(rule2d):
 
 
 def test_dof_counts_single_cell_2d():
-    dm = distribute_dofs(build_hierarchy(2, 1))
-    assert dm.n_u == 18
-    assert dm.n_p == 4
+    (ld,) = distribute_dofs(build_hierarchy(2, 1))
+    assert 2 * ld.n_scalar == 18
+    assert ld.n_p == 4
 
 
 def test_dof_counts_single_cell_3d():
-    dm = distribute_dofs(build_hierarchy(3, 1))
-    assert dm.n_u == 81
-    assert dm.n_p == 8
+    (ld,) = distribute_dofs(build_hierarchy(3, 1))
+    assert 3 * ld.n_scalar == 81
+    assert ld.n_p == 8
 
 
 def test_dof_counts_3d_level2():
-    dm = distribute_dofs(build_hierarchy(3, 3))
-    ld = dm.levels[2]
+    ld = distribute_dofs(build_hierarchy(3, 3))[2]
     assert 3 * ld.n_scalar == 2187
     assert ld.n_p == 125
     # enumeration cross-check: distinct q2 support points
@@ -127,13 +125,13 @@ def test_dof_counts_3d_level2():
 
 def test_dirichlet_set_matches_boundary_support_points():
     for dim in (2, 3):
-        dm = distribute_dofs(build_hierarchy(dim, 3))
+        dofs = distribute_dofs(build_hierarchy(dim, 3))
         for level in (1, 2):
             for degree in (1, 2):
                 pts = support_points(dim, level, degree)
                 on_boundary = np.nonzero(np.any((pts == 0.0) | (pts == 1.0), axis=1))[0]
                 if degree == 2:
-                    found = dm.levels[level].dirichlet_scalar
+                    found = dofs[level].dirichlet_scalar
                 else:
                     found = _grid_boundary_indices(2**level + 1, dim)
                 assert np.array_equal(np.sort(found), on_boundary), (dim, level, degree)
@@ -143,8 +141,7 @@ def test_continuity_across_shared_face():
     # a global coefficient vector evaluated from either neighboring cell
     # agrees on the shared face
     mesh = build_hierarchy(2, 2)
-    dm = distribute_dofs(mesh)
-    ld = dm.levels[1]
+    ld = distribute_dofs(mesh)[1]
     rng = np.random.default_rng(0)
     coeffs = rng.standard_normal(ld.n_scalar)
     # face x = 0.5 between cells (0,0) and (1,0): evaluate at (0.5, t)
@@ -160,7 +157,7 @@ def test_continuity_across_shared_face():
 def test_interpolation_exactness(dim):
     # polynomials of per-axis degree <= 2 are reproduced pointwise
     mesh = build_hierarchy(dim, 2)
-    dm = distribute_dofs(mesh)
+    dofs = distribute_dofs(mesh)
     rng = np.random.default_rng(1)
 
     def poly(pts):
@@ -171,11 +168,5 @@ def test_interpolation_exactness(dim):
 
     coeffs = interpolate_scalar(poly, dim, 1, 2)
     pts = rng.random((40, dim))
-    vals = evaluate_scalar(coeffs, dm.levels[1], dim, 2, pts)
+    vals = evaluate_scalar(coeffs, dofs[1], dim, 2, pts)
     assert np.allclose(vals, poly(pts), atol=1e-13)
-
-
-def test_block_vector_round_trip():
-    v = BlockVector(np.arange(4.0), np.arange(3.0))
-    w = BlockVector.from_flat(v.flat(), 4)
-    assert np.array_equal(w.u, v.u) and np.array_equal(w.p, v.p)

@@ -122,7 +122,17 @@ def test_gmres_stagnation_flagged():
     b[-1] = 1.0
     x, stats = gmres(matop(mat), None, b, SolveControl(1e-12, 40, 2))
     assert not stats.converged
-    assert stats.flag in ("stagnation", "max_iters")
+    assert stats.flag == "stagnation" and stats.iterations == 2
+
+
+@pytest.mark.parametrize("solver", [gmres, fgmres])
+def test_gmres_flags_breakdown_on_zero_operator(solver):
+    # the operator annihilates the first direction, so its Givens rotation
+    # is undefined: the solve stops flagged before counting an iteration
+    x, stats = solver(lambda v: np.zeros_like(v), None, np.ones(10), SolveControl(1e-8, 50, 50))
+    assert stats.flag == "breakdown" and not stats.converged
+    assert stats.iterations == 0 and stats.residual_history == []
+    assert np.all(x == 0.0)
 
 
 # ---------------------------------------------------------------- fgmres

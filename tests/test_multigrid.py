@@ -30,13 +30,13 @@ def transfer_cases():
         mesh = build_hierarchy(dim, 3)
         dofs = distribute_dofs(mesh)
         for degree in (1, 2):
-            sizes = [ld.n_scalar if degree == 2 else ld.n_p for ld in dofs.levels]
+            sizes = [ld.n_scalar if degree == 2 else ld.n_p for ld in dofs]
             yield dim, degree, build_transfer_plan(mesh, degree), dofs, sizes
 
 
 def constrained(dofs, degree, level):
     # only the Q2 velocity space carries Dirichlet constraints
-    return dofs.levels[level].dirichlet_scalar if degree == 2 else None
+    return dofs[level].dirichlet_scalar if degree == 2 else None
 
 
 def zeroed(w, cons):
@@ -76,8 +76,8 @@ def test_prolongation_pointwise_embedding_oracle():
                 coarse[cons_c] = 0.0
             fine = prolongate(plan, level, coarse, constrained(dofs, degree, level))
             pts = rng.random((50, dim))
-            a = oracle.evaluate_scalar(coarse, dofs.levels[level - 1], dim, degree, pts)
-            b = oracle.evaluate_scalar(fine, dofs.levels[level], dim, degree, pts)
+            a = oracle.evaluate_scalar(coarse, dofs[level - 1], dim, degree, pts)
+            b = oracle.evaluate_scalar(fine, dofs[level], dim, degree, pts)
             assert np.abs(a - b).max() < 1e-12, (dim, degree, level)
 
 
@@ -120,7 +120,7 @@ def test_restriction_zero_and_column_sums():
 def test_q1_transfer_constants():
     mesh = build_hierarchy(2, 2)
     plan = build_transfer_plan(mesh, 1)
-    out = prolongate(plan, 1, np.ones(distribute_dofs(mesh).levels[0].n_p))
+    out = prolongate(plan, 1, np.ones(distribute_dofs(mesh)[0].n_p))
     assert np.abs(out - 1.0).max() < 1e-14
 
 
@@ -144,7 +144,7 @@ def test_lambda_max_against_dense_eigendecomposition():
     system = make_system(2, 2)
     ctx = system.active
     amat = oracle.assemble_A(
-        system.mesh, system.dofmap, 1, np.ones(system.mesh.n_cells(1)), system.rule
+        system.mesh, ctx.dofs, 1, np.ones(system.mesh.n_cells(1)), system.rule
     )
     diag = np.diag(amat)
     true_lam = np.linalg.eigvalsh(np.diag(1 / np.sqrt(diag)) @ amat @ np.diag(1 / np.sqrt(diag))).max()
@@ -266,7 +266,7 @@ def test_vcycle_allocation_budget():
     system = make_system(3, 4)
     mg = build_velocity_multigrid(system)
     b = np.random.default_rng(12).standard_normal(system.n_u)
-    b[system.dofmap.active.velocity_constrained(3)] = 0.0
+    b[system.active.u_constrained] = 0.0
     mg.vcycle(b)
     tracemalloc.start()
     try:
@@ -282,7 +282,7 @@ def test_vcycle_zero_and_linearity():
     mg = build_velocity_multigrid(system)
     assert np.all(mg.vcycle(np.zeros(system.n_u)) == 0.0)
     rng = np.random.default_rng(3)
-    cons = system.dofmap.active.velocity_constrained(2)
+    cons = system.active.u_constrained
     b1 = rng.standard_normal(system.n_u)
     b2 = rng.standard_normal(system.n_u)
     b1[cons] = b2[cons] = 0.0
@@ -299,7 +299,7 @@ def test_vcycle_adjoint_is_pre_smoothing_cycle(dim):
     system = make_system(dim, 3)
     mg = build_velocity_multigrid(system)
     rng = np.random.default_rng(4)
-    cons = system.dofmap.active.velocity_constrained(dim)
+    cons = system.active.u_constrained
     for _ in range(5):
         b1 = rng.standard_normal(system.n_u)
         b2 = rng.standard_normal(system.n_u)
@@ -333,11 +333,11 @@ def test_vcycle_richardson_contraction():
     system = make_system(2, 3)
     mg = build_velocity_multigrid(system)
     amat = oracle.assemble_A(
-        system.mesh, system.dofmap, 2, np.ones(system.mesh.n_cells(2)), system.rule
+        system.mesh, system.active.dofs, 2, np.ones(system.mesh.n_cells(2)), system.rule
     )
     rng = np.random.default_rng(5)
     b = rng.standard_normal(system.n_u)
-    b[system.dofmap.active.velocity_constrained(2)] = 0.0
+    b[system.active.u_constrained] = 0.0
     x_star = np.linalg.solve(amat, b)
     x = np.zeros(system.n_u)
     err = np.linalg.norm(x - x_star)
@@ -356,7 +356,7 @@ def test_h_robustness_constant_viscosity():
         system = make_system(2, n_levels)
         mg = build_velocity_multigrid(system)
         b = np.random.default_rng(7).standard_normal(system.n_u)
-        b[system.dofmap.active.velocity_constrained(2)] = 0.0
+        b[system.active.u_constrained] = 0.0
         _, stats = gmres(
             lambda u: apply_A(system.active, u), mg.vcycle, b, SolveControl(1e-6, 100, 50)
         )
@@ -381,7 +381,7 @@ def test_viscosity_robustness_single_sinker():
         system = make_system(3, 3, visc=field)
         mg = build_velocity_multigrid(system)
         b = np.random.default_rng(8).standard_normal(system.n_u)
-        b[system.dofmap.active.velocity_constrained(3)] = 0.0
+        b[system.active.u_constrained] = 0.0
         _, stats = gmres(
             lambda u: apply_A(system.active, u), mg.vcycle, b, SolveControl(1e-6, 200, 50)
         )
@@ -399,7 +399,7 @@ def test_smoothing_range_fifteen_beats_four():
     field = restrict_viscosity(average_active_viscosity(mesh, cfg, make_gauss_rule(3, 3)), mesh)
     system = make_system(3, 4, visc=field)
     b = np.random.default_rng(11).standard_normal(system.n_u)
-    b[system.dofmap.active.velocity_constrained(3)] = 0.0
+    b[system.active.u_constrained] = 0.0
     counts = []
     for params in (ChebyshevParams(), ChebyshevParams(alpha_low=4.0)):
         mg = build_velocity_multigrid(system, params)

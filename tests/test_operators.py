@@ -4,7 +4,6 @@ import pytest
 import oracle
 from conftest import constant_viscosity, make_system, random_viscosity, unconstrained_context
 from oracle import interpolate_scalar
-from gmgstokes.fem import BlockVector
 from gmgstokes.mesh import build_hierarchy, lattice
 from gmgstokes.operators import (
     apply_A,
@@ -20,12 +19,11 @@ from gmgstokes.viscosity import sinker_config
 
 
 def _oracle(system, level):
-    mesh, dm, rule = system.mesh, system.dofmap, system.rule
-    mu = system.visc.level(level)
+    mesh, ctx, rule = system.mesh, system.contexts[level], system.rule
     return {
-        "A": oracle.assemble_A(mesh, dm, level, mu, rule),
-        "B": oracle.assemble_B(mesh, dm, level, rule),
-        "Mp": oracle.assemble_Mp(mesh, dm, level, mu, rule),
+        "A": oracle.assemble_A(mesh, ctx.dofs, level, ctx.mu, rule),
+        "B": oracle.assemble_B(mesh, ctx.dofs, level, rule),
+        "Mp": oracle.assemble_Mp(mesh, ctx.dofs, level, ctx.mu, rule),
     }
 
 
@@ -98,13 +96,13 @@ def test_single_cell_dense_match_mu_one():
     visc = constant_viscosity(mesh)
     system = make_system(2, 1, visc=visc)
     ctx = system.active
-    amat = oracle.assemble_A(mesh, system.dofmap, 0, np.ones(1), system.rule)
+    amat = oracle.assemble_A(mesh, ctx.dofs, 0, np.ones(1), system.rule)
     assert amat.shape == (18, 18)
     rng = np.random.default_rng(0)
     for _ in range(5):
         u = rng.standard_normal(18)
         assert np.allclose(apply_A(ctx, u), amat @ u, atol=1e-12)
-    bmat = oracle.assemble_B(mesh, system.dofmap, 0, system.rule)
+    bmat = oracle.assemble_B(mesh, ctx.dofs, 0, system.rule)
     assert bmat.shape == (4, 18)
     for _ in range(5):
         u = rng.standard_normal(18)
@@ -114,11 +112,8 @@ def test_single_cell_dense_match_mu_one():
 def test_constant_field_in_strain_kernel():
     # rigid translation has zero strain rate: apply the raw (unconstrained)
     # operator to a constant velocity field
-    mesh = build_hierarchy(2, 2)
-    dm = make_system(2, 2).dofmap
-    visc = constant_viscosity(mesh)
-    ctx = unconstrained_context(mesh, dm, visc, 1)
-    u = np.concatenate([np.full(ctx.n_scalar, 2.0), np.full(ctx.n_scalar, -1.0)])
+    ctx = unconstrained_context(make_system(2, 2), 1)
+    u = np.concatenate([np.full(ctx.dofs.n_scalar, 2.0), np.full(ctx.dofs.n_scalar, -1.0)])
     assert np.abs(apply_A(ctx, u)).max() < 1e-13
 
 
@@ -135,13 +130,11 @@ def test_operator_symmetry():
 
 def test_divergence_free_linear_field():
     # (y, x) is pointwise divergence-free and exactly representable in Q2
-    mesh = build_hierarchy(2, 2)
     system = make_system(2, 2)
-    ctx = system.active
     ux = interpolate_scalar(lambda pts: pts[:, 1], 2, 1, 2)
     uy = interpolate_scalar(lambda pts: pts[:, 0], 2, 1, 2)
     u = np.concatenate([ux, uy])
-    ctx_free = unconstrained_context(mesh, system.dofmap, constant_viscosity(mesh), 1)
+    ctx_free = unconstrained_context(system, 1)
     assert np.abs(apply_B(ctx_free, u)).max() < 1e-13
 
 
@@ -157,11 +150,10 @@ def test_b_bt_adjoint_identity():
 
 
 def test_bt_constant_pressure_interior_rows_vanish():
-    mesh = build_hierarchy(2, 2)
     system = make_system(2, 2)
-    ctx_free = unconstrained_context(mesh, system.dofmap, constant_viscosity(mesh), 1)
+    ctx_free = unconstrained_context(system, 1)
     out = apply_Bt(ctx_free, np.ones(ctx_free.n_p)).reshape(2, -1)
-    interior = np.setdiff1d(np.arange(ctx_free.n_scalar), system.dofmap.levels[1].dirichlet_scalar)
+    interior = np.setdiff1d(np.arange(ctx_free.dofs.n_scalar), ctx_free.dofs.dirichlet_scalar)
     assert np.abs(out[:, interior]).max() < 1e-13
 
 
@@ -205,15 +197,16 @@ def test_apply_stokes_consistency_and_symmetry():
     system, _ = _system_with_oracle(2, 2, seed=10)
     ctx = system.active
     rng = np.random.default_rng(7)
-    x = BlockVector(rng.standard_normal(ctx.n_u), rng.standard_normal(ctx.n_p))
-    y = BlockVector(rng.standard_normal(ctx.n_u), rng.standard_normal(ctx.n_p))
-    zero = apply_stokes(ctx, BlockVector(np.zeros(ctx.n_u), np.zeros(ctx.n_p)))
-    assert np.all(zero.flat() == 0.0)
+    n_u = ctx.n_u
+    x = rng.standard_normal(n_u + ctx.n_p)
+    y = rng.standard_normal(n_u + ctx.n_p)
+    zero = apply_stokes(ctx, np.zeros(n_u + ctx.n_p))
+    assert np.all(zero == 0.0)
     kx = apply_stokes(ctx, x)
-    assert np.allclose(kx.u, apply_A(ctx, x.u) + apply_Bt(ctx, x.p))
-    assert np.allclose(kx.p, apply_B(ctx, x.u))
-    lhs = kx.flat() @ y.flat()
-    rhs = x.flat() @ apply_stokes(ctx, y).flat()
+    assert np.allclose(kx[:n_u], apply_A(ctx, x[:n_u]) + apply_Bt(ctx, x[n_u:]))
+    assert np.allclose(kx[n_u:], apply_B(ctx, x[:n_u]))
+    lhs = kx @ y
+    rhs = x @ apply_stokes(ctx, y)
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
@@ -222,7 +215,8 @@ def test_rhs_zero_without_sinkers():
     system = make_system(2, 2)
     cfg = sinker_config(2, 0, 1.0)
     rhs = assemble_rhs(system.active, cfg)
-    assert np.all(rhs.flat() == 0.0)
+    assert rhs.shape == (system.n_dofs,)
+    assert np.all(rhs == 0.0)
 
 
 def test_rhs_total_downward_force():
@@ -230,9 +224,9 @@ def test_rhs_total_downward_force():
     system = make_system(3, 2)
     cfg = sinker_config(3, 2, 1e4, seed=1)
     rhs = assemble_rhs(system.active, cfg)
-    down = np.sum(rhs.u.reshape(3, -1)[2])
+    down = np.sum(rhs[: system.n_u].reshape(3, -1)[2])
     assert down < 0.0
-    assert np.all(rhs.p == 0.0)
+    assert np.all(rhs[system.n_u :] == 0.0)
 
 
 def test_rhs_matches_quadrature_oracle():
@@ -243,8 +237,9 @@ def test_rhs_matches_quadrature_oracle():
         return np.stack([np.zeros(len(pts)), -np.ones(len(pts))], axis=1)
 
     got = assemble_rhs_function(system.active, f)
-    want = oracle.assemble_rhs(mesh, system.dofmap, 0, f, system.rule)
-    assert np.allclose(got.u, want, atol=1e-14)
+    want = oracle.assemble_rhs(mesh, system.active.dofs, 0, f, system.rule)
+    assert np.allclose(got[: system.n_u], want, atol=1e-14)
+    assert np.all(got[system.n_u :] == 0.0)
 
 
 @pytest.mark.parametrize("dim,n_levels", [(2, 1), (2, 2), (3, 1)])
@@ -264,12 +259,10 @@ def test_diagonal_positive_and_scales_with_mu():
     d1 = compute_diagonal(s1.active, "A")
     d2 = compute_diagonal(s2.active, "A")
     assert np.all(d1 > 0.0)
-    free = np.setdiff1d(
-        np.arange(s1.n_u), s1.dofmap.levels[1].velocity_constrained(2)
-    )
+    cons = s1.active.u_constrained
+    free = np.setdiff1d(np.arange(s1.n_u), cons)
     assert np.allclose(d2[free], 2.0 * d1[free], rtol=1e-13)
     # constrained entries stay at one
-    cons = s1.dofmap.levels[1].velocity_constrained(2)
     assert np.all(d1[cons] == 1.0) and np.all(d2[cons] == 1.0)
 
 
@@ -280,7 +273,7 @@ def test_viscosity_monotonicity_of_quadratic_form():
     rng = np.random.default_rng(8)
     for _ in range(5):
         v = rng.standard_normal(lo.n_u)
-        v.reshape(2, -1)[:, lo.dofmap.levels[1].dirichlet_scalar] = 0.0
+        v.reshape(2, -1)[:, lo.active.dofs.dirichlet_scalar] = 0.0
         assert v @ apply_A(lo.active, v) <= v @ apply_A(hi.active, v) + 1e-12
 
 
@@ -298,7 +291,7 @@ def test_length_mismatch_rejected():
 def test_constrained_rows_act_as_identity():
     system, mats = _system_with_oracle(2, 2, seed=12)
     ctx = system.active
-    cons = system.dofmap.levels[1].velocity_constrained(2)
+    cons = system.active.u_constrained
     rng = np.random.default_rng(9)
     u = rng.standard_normal(ctx.n_u)
     out = apply_A(ctx, u)

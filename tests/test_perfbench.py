@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -15,3 +16,36 @@ def test_tracer_selftest_passes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "tracer self-test passed" in proc.stdout
+
+
+# one traced 2D levels=2 FGMRES + mass-CG run through the harness's own path
+TRACED_RUN = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import run
+assert run.use_checkout_source()
+config = {"dim": 2, "levels": 2, "solver": "fgmres", "schur": "cg"}
+workload = {"kind": "run", "config": config, "base_seeds": [1], "dofs": {"2": 187}}
+result = run.trace(run.Checked(workload, 1))
+values = {k: m["value"] for k, m in result["metrics"].items()}
+print(json.dumps({"failures": result["failures"], "values": values}))
+"""
+
+
+def test_traced_setup_functions_are_timed():
+    # the tracer finds the set-up functions by name and times every call,
+    # so each one that a run reaches reports a nonzero time
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["failures"] == []
+    for name in (
+        "fem.distribute_dofs.s",
+        "viscosity.average_active_viscosity.s",
+        "viscosity.restrict_viscosity.s",
+        "operators.StokesSystem.init.s",
+    ):
+        assert out["values"][name] > 0.0, name

@@ -5,7 +5,7 @@ import scipy.linalg as sla
 import oracle
 from conftest import make_system, random_viscosity
 from gmgstokes.bench import RunConfig
-from gmgstokes.fem import BlockVector, make_gauss_rule
+from gmgstokes.fem import distribute_dofs, make_gauss_rule
 from gmgstokes.krylov import SolveControl, gmres
 from gmgstokes.mesh import build_hierarchy
 from gmgstokes.multigrid import build_mass_multigrid
@@ -15,10 +15,11 @@ from gmgstokes.viscosity import average_active_viscosity, restrict_viscosity, si
 
 
 def compatible_rhs(system, rng):
-    """Random right-hand side in the range of the saddle operator."""
-    b = BlockVector(rng.standard_normal(system.n_u), rng.standard_normal(system.n_p))
-    b.u.reshape(system.mesh.dim, -1)[:, system.dofmap.active.dirichlet_scalar] = 0.0
-    b.p -= b.p.mean()
+    """Random stacked right-hand side in the range of the saddle operator."""
+    b = rng.standard_normal(system.n_dofs)
+    b[system.active.u_constrained] = 0.0
+    p = b[system.n_u :]
+    p -= p.mean()
     return b
 
 
@@ -31,8 +32,8 @@ def exact_setup():
 def test_exact_preconditioner_two_gmres_iterations(exact_setup):
     system, pc = exact_setup
     rng = np.random.default_rng(0)
-    b = compatible_rhs(system, rng).flat()
-    x, stats = gmres(system.apply_flat, pc.apply_flat, b, SolveControl(1e-10, 10, 10))
+    b = compatible_rhs(system, rng)
+    x, stats = gmres(system.apply_flat, pc.apply, b, SolveControl(1e-10, 10, 10))
     assert stats.converged
     assert stats.iterations <= 3
     res = np.linalg.norm(b - system.apply_flat(x)) / np.linalg.norm(b)
@@ -45,8 +46,8 @@ def test_exact_diagonal_preconditioner_three_gmres_iterations():
     for dim, n_levels in [(2, 2), (2, 3), (3, 2)]:
         system = make_system(dim, n_levels)
         pc = oracle.exact_preconditioner(system, shape="diagonal")
-        b = compatible_rhs(system, np.random.default_rng(dim + n_levels)).flat()
-        x, stats = gmres(system.apply_flat, pc.apply_flat, b, SolveControl(1e-10, 10, 10))
+        b = compatible_rhs(system, np.random.default_rng(dim + n_levels))
+        x, stats = gmres(system.apply_flat, pc.apply, b, SolveControl(1e-10, 10, 10))
         assert stats.converged and stats.iterations == 3, (dim, n_levels, stats.iterations)
         res = np.linalg.norm(b - system.apply_flat(x)) / np.linalg.norm(b)
         assert res <= 1e-10, (dim, n_levels, res)
@@ -56,10 +57,10 @@ def test_exact_preconditioner_krylov_rank_two(exact_setup):
     # the right-preconditioned operator is the identity plus a nilpotent
     # rank deficiency: Krylov spaces collapse after two applications
     system, pc = exact_setup
-    op = lambda v: system.apply_flat(pc.apply_flat(v))
+    op = lambda v: system.apply_flat(pc.apply(v))
     rng = np.random.default_rng(1)
     for _ in range(10):
-        w = compatible_rhs(system, rng).flat()
+        w = compatible_rhs(system, rng)
         mat = np.stack([w, op(w), op(op(w))], axis=1) / np.linalg.norm(w)
         svals = np.linalg.svd(mat, compute_uv=False)
         assert svals[2] / svals[0] < 1e-8
@@ -67,8 +68,8 @@ def test_exact_preconditioner_krylov_rank_two(exact_setup):
 
 def test_apply_p_zero_maps_to_zero(exact_setup):
     system, pc = exact_setup
-    out = pc.apply(BlockVector(np.zeros(system.n_u), np.zeros(system.n_p)))
-    assert np.all(out.flat() == 0.0)
+    out = pc.apply(np.zeros(system.n_dofs))
+    assert np.all(out == 0.0)
 
 
 def test_triangular_and_diagonal_shapes_differ_only_in_velocity():
@@ -79,8 +80,9 @@ def test_triangular_and_diagonal_shapes_differ_only_in_velocity():
     r = compatible_rhs(system, rng)
     out_t = tri.apply(r)
     out_d = dia.apply(r)
-    assert np.allclose(out_t.p, out_d.p)
-    assert not np.allclose(out_t.u, out_d.u)
+    n_u = system.n_u
+    assert np.allclose(out_t[n_u:], out_d[n_u:])
+    assert not np.allclose(out_t[:n_u], out_d[:n_u])
 
 
 def test_schur_cg_mass_converges_in_one_to_five_iterations():
@@ -113,12 +115,10 @@ def test_schur_smoother_built_like_the_finest_mass_level(dim):
 def test_schur_diag_mass_relative_error_below_one():
     mesh = build_hierarchy(2, 2)
     cfg = sinker_config(2, 1, 100.0, seed=4)
-    field = restrict_viscosity(average_active_viscosity(mesh, cfg, make_gauss_rule(3, 2)), mesh)
-    from gmgstokes.fem import distribute_dofs
-
-    system = StokesSystem(mesh, distribute_dofs(mesh), field)
+    mu = restrict_viscosity(average_active_viscosity(mesh, cfg, make_gauss_rule(3, 2)), mesh)
+    system = StokesSystem(mesh, distribute_dofs(mesh), mu)
     pc = StokesPreconditioner(system, shape="triangular", schur="diag")
-    mp = oracle.assemble_Mp(mesh, system.dofmap, 1, field.level(1), system.rule)
+    mp = oracle.assemble_Mp(mesh, system.active.dofs, 1, mu[1], system.rule)
     rng = np.random.default_rng(5)
     for _ in range(5):
         r = rng.standard_normal(system.n_p)
@@ -144,16 +144,18 @@ def test_schur_vcycle_mass_linear_and_adjoint():
 def test_normalize_pressure_properties():
     system = make_system(2, 2)
     w = system.pressure_weights()
-    v = BlockVector(np.zeros(system.n_u), np.full(system.n_p, 3.7))
+    n_u = system.n_u
+    v = np.concatenate([np.zeros(n_u), np.full(system.n_p, 3.7)])
     out = normalize_pressure(v, w)
-    assert np.abs(out.p).max() < 1e-13
+    assert np.abs(out[n_u:]).max() < 1e-13
+    assert np.all(v[n_u:] == 3.7)  # the input is left as it was
     rng = np.random.default_rng(7)
-    v = BlockVector(rng.standard_normal(system.n_u), rng.standard_normal(system.n_p))
+    v = rng.standard_normal(system.n_dofs)
     once = normalize_pressure(v, w)
     twice = normalize_pressure(once, w)
-    assert np.allclose(once.p, twice.p, atol=1e-14)
-    assert abs(w @ once.p) < 1e-13
-    assert np.array_equal(once.u, v.u)
+    assert np.allclose(once[n_u:], twice[n_u:], atol=1e-14)
+    assert abs(w @ once[n_u:]) < 1e-13
+    assert np.array_equal(once[:n_u], v[:n_u])
 
 
 def test_config_validation():
@@ -181,13 +183,13 @@ def schur_interval(n_levels):
     """All generalized eigenvalues of S against M_p (the constant-pressure
     null direction contributes the zero eigenvalue)."""
     system = make_system(2, n_levels)
-    mesh, dm = system.mesh, system.dofmap
+    mesh, ld = system.mesh, system.active.dofs
     lvl = mesh.active_level
     mu = np.ones(mesh.n_cells(lvl))
-    amat = oracle.assemble_A(mesh, dm, lvl, mu, system.rule, constrain=False)
-    bmat = oracle.assemble_B(mesh, dm, lvl, system.rule, constrain=False)
-    mp = oracle.assemble_Mp(mesh, dm, lvl, mu, system.rule)
-    free = oracle.free_velocity_indices(dm.levels[lvl], 2)
+    amat = oracle.assemble_A(mesh, ld, lvl, mu, system.rule, constrain=False)
+    bmat = oracle.assemble_B(mesh, ld, lvl, system.rule, constrain=False)
+    mp = oracle.assemble_Mp(mesh, ld, lvl, mu, system.rule)
+    free = oracle.free_velocity_indices(ld, 2)
     schur = bmat[:, free] @ np.linalg.solve(amat[np.ix_(free, free)], bmat[:, free].T)
     lam = sla.eigh(schur, mp, eigvals_only=True)
     return float(lam.min()), float(lam.max())

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from gmgstokes.fem import make_gauss_rule
 from gmgstokes.mesh import build_hierarchy
 from gmgstokes.viscosity import (
-    ViscosityField,
     average_active_viscosity,
     chi,
     forcing,
@@ -97,8 +96,8 @@ def test_harmonic_average_constant_field():
     mesh = build_hierarchy(2, 2)
     # one sinker engulfing the whole domain: chi == 0, so mu == mu_max == 7
     cfg = sinker_config(2, 1, 49.0, centers=[[0.5, 0.5]], omega=4.0)
-    field = average_active_viscosity(mesh, cfg, make_gauss_rule(3, 2))
-    assert np.allclose(field.level(1), 7.0, rtol=1e-14)
+    vals = average_active_viscosity(mesh, cfg, make_gauss_rule(3, 2))
+    assert np.allclose(vals, 7.0, rtol=1e-14)
 
 
 def test_harmonic_average_toy_two_point_formula():
@@ -111,18 +110,17 @@ def test_harmonic_average_toy_two_point_formula():
     mesh = build_hierarchy(2, 1)
     rule = QuadratureRule(points=np.array([[0.25, 0.5], [0.95, 0.95]]), weights=np.array([0.9, 0.1]))
     cfg = sinker_config(2, 1, 16.0, centers=[[0.25, 0.5]], omega=0.4)
-    field = average_active_viscosity(mesh, cfg, rule)
+    vals = average_active_viscosity(mesh, cfg, rule)
     mus = mu(rule.points, cfg)
     assert mus[0] == pytest.approx(4.0)  # inside the sinker
     expected = 2.0 / np.sum(1.0 / mus)  # weights deliberately ignored
-    assert field.level(0)[0] == pytest.approx(expected, rel=1e-14)
+    assert vals[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_harmonic_average_within_bounds():
     mesh = build_hierarchy(3, 2)
     cfg = sinker_config(3, 2, 1e4, seed=3)
-    field = average_active_viscosity(mesh, cfg, make_gauss_rule(3, 3))
-    vals = field.level(1)
+    vals = average_active_viscosity(mesh, cfg, make_gauss_rule(3, 3))
     assert np.all(vals >= cfg.mu_min - 1e-12)
     assert np.all(vals <= cfg.mu_max + 1e-12)
 
@@ -130,25 +128,22 @@ def test_harmonic_average_within_bounds():
 def test_restrict_constant():
     mesh = build_hierarchy(2, 3)
     fine = np.full(mesh.n_cells(2), 3.25)
-    field = ViscosityField([None, None, fine])
-    out = restrict_viscosity(field, mesh)
+    out = restrict_viscosity(fine, mesh)
     for level in range(3):
-        assert np.allclose(out.level(level), 3.25, rtol=1e-15)
+        assert np.allclose(out[level], 3.25, rtol=1e-15)
 
 
 def test_restrict_children_mean():
     mesh = build_hierarchy(2, 2)
-    field = ViscosityField([None, np.array([1.0, 2.0, 3.0, 4.0])])
-    out = restrict_viscosity(field, mesh)
-    assert out.level(0)[0] == pytest.approx(2.5)
+    out = restrict_viscosity(np.array([1.0, 2.0, 3.0, 4.0]), mesh)
+    assert out[0][0] == pytest.approx(2.5)
 
 
 def test_restrict_parent_equals_child_mean_everywhere():
     mesh = build_hierarchy(3, 3)
     rng = np.random.default_rng(4)
     fine = rng.uniform(0.1, 10.0, mesh.n_cells(2))
-    field = ViscosityField([None, None, fine])
-    out = restrict_viscosity(field, mesh)
+    out = restrict_viscosity(fine, mesh)
     lat1 = mesh.cell_lattices(1)
     n2 = mesh.cells_per_axis(2)
     for idx in range(mesh.n_cells(1)):
@@ -156,8 +151,8 @@ def test_restrict_parent_equals_child_mean_everywhere():
         kids = []
         for off in np.ndindex(2, 2, 2):
             lat = base + np.array(off[::-1])
-            kids.append(out.level(2)[lat[0] + n2 * lat[1] + n2 * n2 * lat[2]])
-        assert out.level(1)[idx] == pytest.approx(np.mean(kids), rel=1e-13)
+            kids.append(out[2][lat[0] + n2 * lat[1] + n2 * n2 * lat[2]])
+        assert out[1][idx] == pytest.approx(np.mean(kids), rel=1e-13)
 
 
 @given(st.integers(0, 1000))
@@ -166,11 +161,10 @@ def test_restrict_preserves_range(seed):
     mesh = build_hierarchy(2, 3)
     rng = np.random.default_rng(seed)
     fine = rng.uniform(0.2, 5.0, mesh.n_cells(2))
-    field = ViscosityField([None, None, fine])
-    out = restrict_viscosity(field, mesh)
+    out = restrict_viscosity(fine, mesh)
     for level in range(3):
-        assert out.level(level).min() >= fine.min() - 1e-12
-        assert out.level(level).max() <= fine.max() + 1e-12
+        assert out[level].min() >= fine.min() - 1e-12
+        assert out[level].max() <= fine.max() + 1e-12
 
 
 def test_generated_centers_reproducible_and_inside():
