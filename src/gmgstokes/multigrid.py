@@ -5,10 +5,12 @@ fine function, so prolongation interpolates coarse coefficients at the
 fine support points.  On the uniform lattice the Q1/Q2 spaces are tensor
 products, so prolongation is the Kronecker product of one 1D embedding
 matrix per axis, applied axis by axis, and restriction is its exact
-transpose.  The smoother is a fixed-degree Chebyshev polynomial in the
-Jacobi-preconditioned operator, targeting the upper part of the spectrum
-estimated by a short Lanczos run.  The V-cycle smooths only after the
-coarse correction, V(0,k), so a level costs k operator applications; it
+transpose.  The smoother is the degree-``CHEBYSHEV_DEGREE`` Chebyshev
+polynomial in the Jacobi-preconditioned operator on the upper part
+[lam_max/SMOOTHING_RANGE, lam_max] of the spectrum, with lam_max a
+``LANCZOS_STEPS``-step Lanczos estimate times ``LANCZOS_SAFETY``.  The
+V-cycle smooths only after the coarse correction, V(0,k) with
+k = ``CHEBYSHEV_DEGREE``, so a level costs k operator applications; it
 is linear but not symmetric, so it serves GMRES-type methods, not CG.
 The coarsest level is the single root cell and is never smoothed: its
 inverse is built once by probing the operator on its free unit vectors,
@@ -28,33 +30,26 @@ from .mesh import MeshHierarchy
 from .operators import LevelOperatorContext, StokesSystem, apply_A, apply_Mp, compute_diagonal
 
 
-@dataclass(frozen=True)
-class ChebyshevParams:
-    """Smoother settings: polynomial degree, Lanczos steps for the
-    largest-eigenvalue estimate, and the smoothing interval
-    [lam/alpha_low, lam] around the estimate lam scaled by the safety
-    factor alpha_high.  The defaults are those of deal.II's
-    ``PreconditionChebyshev`` in its matrix-free multigrid tutorial
-    (step-37): degree 5, ``smoothing_range = 15``, 10 eigenvalue
-    iterations and a 1.2 safety factor; every smoother uses them."""
-
-    degree: int = 5
-    eig_estimate_iters: int = 10
-    alpha_low: float = 15.0
-    alpha_high: float = 1.2
-
-
+# Chebyshev smoother settings, those of deal.II's ``PreconditionChebyshev``
+# in its matrix-free multigrid tutorial (step-37): polynomial degree,
+# ``smoothing_range`` (the interval is [lam_max/SMOOTHING_RANGE, lam_max]),
+# Lanczos steps of the largest-eigenvalue estimate and its safety factor.
+# Every smoother uses them.  They are read when a function runs, not bound
+# as default values, so a test can patch them.
+CHEBYSHEV_DEGREE = 5
+SMOOTHING_RANGE = 15.0
+LANCZOS_STEPS = 10
+LANCZOS_SAFETY = 1.2
 _LANCZOS_SEED = 1789
 _NO_DOFS = np.empty(0, dtype=np.int64)
 
 
-def estimate_lambda_max(op, diag, iters: int = 10, safety: float = 1.2, seed: int = _LANCZOS_SEED):
-    """Largest eigenvalue of diag^-1 op, estimated by ``iters`` Lanczos steps
-    on the symmetrized operator from a seeded random start, scaled by the
-    safety factor.  Each step records its Lanczos coefficient before it
-    tests for breakdown, so ``iters >= 1`` always gives an estimate."""
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
+def estimate_lambda_max(op, diag):
+    """Largest eigenvalue of diag^-1 op, estimated by ``LANCZOS_STEPS``
+    Lanczos steps on the symmetrized operator from a seeded random start,
+    scaled by ``LANCZOS_SAFETY``.  Each step applies ``op`` once and records
+    its Lanczos coefficient before it tests for breakdown, so the estimate
+    takes at most ``LANCZOS_STEPS`` applications and always exists."""
     n = diag.size
     if np.any(diag <= 0.0):
         raise ValueError("diagonal must be strictly positive")
@@ -63,7 +58,7 @@ def estimate_lambda_max(op, diag, iters: int = 10, safety: float = 1.2, seed: in
     def bop(w):
         return d_isqrt * op(d_isqrt * w)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_LANCZOS_SEED)
     v = rng.standard_normal(n)
     nv = np.linalg.norm(v)
     if nv == 0.0:
@@ -72,9 +67,11 @@ def estimate_lambda_max(op, diag, iters: int = 10, safety: float = 1.2, seed: in
     basis = [v]
     alphas: list[float] = []
     betas: list[float] = []
-    w = bop(v)
-    for _ in range(iters):
+    for step in range(1, LANCZOS_STEPS + 1):
+        w = bop(v)
         alphas.append(float(v @ w))
+        if step == LANCZOS_STEPS:
+            break  # the next beta would lie outside the tridiagonal matrix
         w = w - alphas[-1] * v
         for u in basis:  # full reorthogonalization, the basis is short
             w -= (u @ w) * u
@@ -84,12 +81,11 @@ def estimate_lambda_max(op, diag, iters: int = 10, safety: float = 1.2, seed: in
         betas.append(float(beta))
         v = w / beta
         basis.append(v)
-        w = bop(v)
     tmat = np.diag(alphas)
-    for i, beta in enumerate(betas[: len(alphas) - 1]):
+    for i, beta in enumerate(betas):
         tmat[i, i + 1] = tmat[i + 1, i] = beta
     lam = float(np.linalg.eigvalsh(tmat).max())
-    return safety * lam
+    return LANCZOS_SAFETY * lam
 
 
 class MGLevel:
@@ -111,18 +107,17 @@ class MGLevel:
     def nbytes(self) -> int:
         return self.inv_diag.nbytes + self.r.nbytes + self.d.nbytes + self.t.nbytes
 
-    def cg(self, params: ChebyshevParams, b, control: krylov.SolveControl):
+    def cg(self, b, control: krylov.SolveControl):
         """CG on the level operator, preconditioned by one smoothing step
         from zero; returns ``krylov.cg``'s (x, stats)."""
-        return krylov.cg(self.op, lambda r: chebyshev_smooth(params, self, r), b, control)
+        return krylov.cg(self.op, lambda r: chebyshev_smooth(self, r), b, control)
 
 
-def chebyshev_smooth(params: ChebyshevParams, level: MGLevel, b, x0=None):
+def chebyshev_smooth(level: MGLevel, b, x0=None):
     """Fixed Chebyshev polynomial iteration on the Jacobi-preconditioned
-    level operator over the interval [lam_max/alpha_low, lam_max];
-    alpha_low plays the part of deal.II's ``smoothing_range``.
+    level operator over the interval [lam_max/SMOOTHING_RANGE, lam_max].
 
-    The error propagator is the degree-``params.degree`` shifted Chebyshev
+    The error propagator is the degree-``CHEBYSHEV_DEGREE`` shifted Chebyshev
     polynomial, so the map (b, x0) -> x is linear and, for symmetric op
     and x0 = 0, a symmetric positive definite preconditioner.  The
     residual and update live in the level's buffers; ``b`` and ``x0`` are
@@ -130,7 +125,7 @@ def chebyshev_smooth(params: ChebyshevParams, level: MGLevel, b, x0=None):
     """
     op, lam_max = level.op, level.lam_max
     inv_d, r, d, t = level.inv_diag, level.r, level.d, level.t
-    low = lam_max / params.alpha_low
+    low = lam_max / SMOOTHING_RANGE
     theta = 0.5 * (lam_max + low)
     delta = 0.5 * (lam_max - low)
     if x0 is None:
@@ -139,15 +134,12 @@ def chebyshev_smooth(params: ChebyshevParams, level: MGLevel, b, x0=None):
     else:
         np.subtract(b, op(x0), out=r)
         x = x0.copy()
-    if delta <= 1e-14 * theta:
-        # degenerate interval: one exact Jacobi step
-        return x + inv_d * r / theta
     sigma = theta / delta
     rho = 1.0 / sigma
     np.multiply(inv_d, r, out=d)
     d /= theta
     x += d
-    for _ in range(params.degree - 1):
+    for _ in range(CHEBYSHEV_DEGREE - 1):
         r -= op(d)
         rho_new = 1.0 / (2.0 * sigma - rho)
         # d = (rho_new * rho) * d + (2 * rho_new / delta) * (inv_d * r)
@@ -208,21 +200,18 @@ def _level_operator(ctx: LevelOperatorContext, which: str):
     raise ValueError(f"unknown operator {which!r}, expected 'A' or 'Mp'")
 
 
-def smoother(ctx: LevelOperatorContext, which: str, params: ChebyshevParams) -> MGLevel:
+def smoother(ctx: LevelOperatorContext, which: str) -> MGLevel:
     """The Chebyshev smoother of one level's ``"A"`` or ``"Mp"`` operator:
     its exact diagonal and Lanczos estimate."""
     op, _, constrained, components = _level_operator(ctx, which)
     diag = compute_diagonal(ctx, which)
-    lam = estimate_lambda_max(op, diag, params.eig_estimate_iters, params.alpha_high)
-    return MGLevel(op, diag, lam, constrained, components)
+    return MGLevel(op, diag, estimate_lambda_max(op, diag), constrained, components)
 
 
-def _hierarchy_levels(system: StokesSystem, which: str, params: ChebyshevParams) -> list:
+def _hierarchy_levels(system: StokesSystem, which: str) -> list:
     """The exactly solved coarsest level, then a smoother on every finer one."""
     coarse, *finer = system.contexts
-    return [CoarseLevel(*_level_operator(coarse, which))] + [
-        smoother(ctx, which, params) for ctx in finer
-    ]
+    return [CoarseLevel(*_level_operator(coarse, which))] + [smoother(ctx, which) for ctx in finer]
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +306,9 @@ class Multigrid:
     that miss ``COARSE_CG_TOL`` within ``COARSE_CG_MAX_ITERS`` and the most
     iterations one took."""
 
-    def __init__(self, levels: list, plan: TransferPlan, params: ChebyshevParams):
+    def __init__(self, levels: list, plan: TransferPlan):
         self.levels = levels
         self.plan = plan
-        self.params = params
         self.coarse_control = krylov.SolveControl(
             reduction_target=COARSE_CG_TOL, max_iters=COARSE_CG_MAX_ITERS
         )
@@ -348,21 +336,17 @@ class Multigrid:
         rc[:, self.levels[level - 1].scalar_constrained] = 0.0
         ec = self.vcycle(rc.reshape(-1), level - 1)
         x0 = prolongate(self.plan, level, ec.reshape(comp, -1), lv.scalar_constrained)
-        return chebyshev_smooth(self.params, lv, b, x0=x0.reshape(-1))
+        return chebyshev_smooth(lv, b, x0=x0.reshape(-1))
 
 
-def build_velocity_multigrid(
-    system: StokesSystem, params: ChebyshevParams | None = None
-) -> Multigrid:
+def build_velocity_multigrid(system: StokesSystem) -> Multigrid:
     """GMG hierarchy for the viscous block, smoothing the fully coupled
     strain-rate operator on every level above the coarsest."""
-    params = params or ChebyshevParams()
     plan = build_transfer_plan(system.mesh, 2)
-    return Multigrid(_hierarchy_levels(system, "A", params), plan, params)
+    return Multigrid(_hierarchy_levels(system, "A"), plan)
 
 
-def build_mass_multigrid(system: StokesSystem, params: ChebyshevParams | None = None) -> Multigrid:
+def build_mass_multigrid(system: StokesSystem) -> Multigrid:
     """GMG hierarchy for the viscosity-weighted pressure mass matrix."""
-    params = params or ChebyshevParams()
     plan = build_transfer_plan(system.mesh, 1)
-    return Multigrid(_hierarchy_levels(system, "Mp", params), plan, params)
+    return Multigrid(_hierarchy_levels(system, "Mp"), plan)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import LevelDofs, QuadratureRule, cell_quad_points, make_gauss_rule, tabulate
+from .fem import LevelDofs, QuadratureRule, cell_quad_points, tabulate
 from .mesh import MeshHierarchy
 from .viscosity import SinkerConfig, forcing
 
@@ -214,15 +214,11 @@ def apply_stokes(ctx: LevelOperatorContext, x: np.ndarray) -> np.ndarray:
     return np.concatenate([apply_A(ctx, u) + apply_Bt(ctx, p), apply_B(ctx, u)])
 
 
-def assemble_rhs_function(
-    ctx: LevelOperatorContext,
-    f,
-    rule: QuadratureRule | None = None,
-) -> np.ndarray:
+def assemble_rhs_function(ctx: LevelOperatorContext, f) -> np.ndarray:
     """Stacked load vector ``(F, 0)``, with F_i = int phi_i . f for an
     arbitrary forcing callback ``f(points) -> (n, dim)`` and its
     constrained entries zeroed."""
-    rule = rule or ctx.rule
+    rule = ctx.rule
     q2 = tabulate(2, ctx.dim, rule)
     pts = cell_quad_points(ctx.lattices, ctx.h, rule)
     fv = np.asarray(f(pts.reshape(-1, ctx.dim))).reshape(ctx.n_cells, rule.n, ctx.dim)
@@ -267,14 +263,10 @@ class StokesSystem:
     """Level contexts plus the active-level saddle operator of one problem."""
 
     def __init__(
-        self,
-        mesh: MeshHierarchy,
-        dofs: list[LevelDofs],
-        mu: list[np.ndarray],
-        rule: QuadratureRule | None = None,
+        self, mesh: MeshHierarchy, dofs: list[LevelDofs], mu: list[np.ndarray], rule: QuadratureRule
     ):
         self.mesh = mesh
-        self.rule = rule or make_gauss_rule(3, mesh.dim)
+        self.rule = rule
         self.contexts = [
             make_level_context(mesh, dofs[level], mu[level], level, self.rule)
             for level in range(mesh.n_levels)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import krylov
-from .multigrid import ChebyshevParams, build_mass_multigrid, build_velocity_multigrid, smoother
+from .multigrid import build_mass_multigrid, build_velocity_multigrid, smoother
 from .operators import StokesSystem, apply_Bt, compute_diagonal
 
 
@@ -55,21 +55,20 @@ class StokesPreconditioner:
         self.system = system
         self.shape = shape
         self.schur = schur
-        self.params = ChebyshevParams()
         self.inner_iterations = 0
         self.inner_failures = 0
         ctx = system.active
 
         self.mass_mg = None
         if schur == "vcycle":
-            self.mass_mg = build_mass_multigrid(system, self.params)
+            self.mass_mg = build_mass_multigrid(system)
         elif schur == "cg":
-            self.mp_smoother = smoother(ctx, "Mp", self.params)
+            self.mp_smoother = smoother(ctx, "Mp")
         elif schur == "diag":
             self._mp_diag = compute_diagonal(ctx, "Mp")
         else:
             raise ValueError(f"unknown schur {schur!r}")
-        self.velocity_mg = build_velocity_multigrid(system, self.params)
+        self.velocity_mg = build_velocity_multigrid(system)
 
     def schur_apply(self, r_p: np.ndarray) -> np.ndarray:
         """Approximate application of S^-1 to a pressure residual."""
@@ -78,7 +77,7 @@ class StokesPreconditioner:
         if self.schur == "vcycle":
             return self.mass_mg.vcycle(r_p)
         control = krylov.SolveControl(reduction_target=SCHUR_CG_TOL, max_iters=SCHUR_CG_MAX_ITERS)
-        x, stats = self.mp_smoother.cg(self.params, r_p, control)
+        x, stats = self.mp_smoother.cg(r_p, control)
         self.inner_iterations += stats.iterations
         if not stats.converged:
             self.inner_failures += 1

@@ -23,9 +23,9 @@ class SinkerConfig:
     n: int
     dynamic_ratio: float
     centers: np.ndarray  # (n, dim)
-    delta: float = 200.0
-    omega: float = 0.1
-    beta: float = 10.0
+    delta: float
+    omega: float
+    beta: float
 
     @property
     def mu_min(self) -> float:

@@ -27,7 +27,7 @@ def unconstrained_context(system, level):
 def make_system(dim, n_levels, visc=None, visc_value=1.0):
     mesh = build_hierarchy(dim, n_levels)
     mu = visc if visc is not None else constant_viscosity(mesh, visc_value)
-    return StokesSystem(mesh, distribute_dofs(mesh), mu)
+    return StokesSystem(mesh, distribute_dofs(mesh), mu, make_gauss_rule(3, dim))
 
 
 @pytest.fixture

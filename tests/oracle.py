@@ -220,12 +220,12 @@ def interpolate_scalar(fn, dim: int, level: int, degree: int) -> np.ndarray:
     return np.asarray(fn(support_points(dim, level, degree)), dtype=float)
 
 
-def chebyshev_smooth_reference(params, op, diag, b, x0=None, lam_max=None):
+def chebyshev_smooth_reference(op, diag, b, lam_max, degree, smoothing_range, x0=None):
     """The Chebyshev smoother's recurrence written with a fresh array for
     every intermediate.  The buffered smoother performs the same
     operations in the same order, so the two agree bit for bit."""
     inv_d = 1.0 / diag
-    low = lam_max / params.alpha_low
+    low = lam_max / smoothing_range
     theta = 0.5 * (lam_max + low)
     delta = 0.5 * (lam_max - low)
     if x0 is None:
@@ -238,7 +238,7 @@ def chebyshev_smooth_reference(params, op, diag, b, x0=None, lam_max=None):
     rho = 1.0 / sigma
     d = inv_d * r / theta
     x += d
-    for _ in range(params.degree - 1):
+    for _ in range(degree - 1):
         r -= op(d)
         rho_new = 1.0 / (2.0 * sigma - rho)
         d = (rho_new * rho) * d + (2.0 * rho_new / delta) * (inv_d * r)
@@ -258,7 +258,7 @@ def vcycle_pre_only(mg, b, level=None):
     if level == 0:
         return mg.levels[0].solve(b, mg.coarse_control)[0]
     lv = mg.levels[level]
-    x = chebyshev_smooth(mg.params, lv, b)
+    x = chebyshev_smooth(lv, b)
     r = (b - lv.op(x)).reshape(lv.components, -1)
     r[:, lv.scalar_constrained] = 0.0
     rc = restrict(mg.plan, level, r)

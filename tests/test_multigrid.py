@@ -5,11 +5,14 @@ import pytest
 
 import oracle
 from conftest import constant_viscosity, make_system, random_viscosity
+from gmgstokes import multigrid
 from gmgstokes.fem import distribute_dofs, make_gauss_rule
 from gmgstokes.krylov import SolveControl, gmres
 from gmgstokes.mesh import build_hierarchy
 from gmgstokes.multigrid import (
-    ChebyshevParams,
+    CHEBYSHEV_DEGREE,
+    LANCZOS_STEPS,
+    SMOOTHING_RANGE,
     MGLevel,
     build_mass_multigrid,
     build_transfer_plan,
@@ -135,9 +138,19 @@ def test_lambda_max_identity():
     assert 1.0 <= est <= 1.2 + 1e-12
 
 
-def test_lambda_max_rejects_zero_iterations():
-    with pytest.raises(ValueError):
-        estimate_lambda_max(lambda v: v, np.ones(25), iters=0)
+def test_lambda_max_applies_the_operator_once_per_step():
+    # LANCZOS_STEPS applications on a spectrum of 40 distinct values, whose
+    # Krylov space does not break down early, and one on the identity,
+    # where step 1 breaks down
+    for values, expected in ((np.arange(1.0, 41.0), LANCZOS_STEPS), (np.ones(40), 1)):
+        calls = []
+
+        def op(v):
+            calls.append(1)
+            return values * v
+
+        estimate_lambda_max(op, np.ones(40))
+        assert len(calls) == expected, (values[-1], len(calls))
 
 
 def test_lambda_max_against_dense_eigendecomposition():
@@ -158,18 +171,6 @@ def compute_diagonal_a(ctx):
     return compute_diagonal(ctx, "A")
 
 
-def test_chebyshev_single_eigenvalue_exact():
-    d = np.full(12, 2.0)
-    op = lambda v: 5.0 * d * v
-    params = ChebyshevParams(degree=1, alpha_low=1.0)
-    b = np.arange(1.0, 13.0)
-    x = chebyshev_smooth(params, MGLevel(op, d, 5.0), b)
-    assert np.allclose(op(x), b, rtol=1e-14)
-    params4 = ChebyshevParams(degree=4, alpha_low=1.0)
-    x4 = chebyshev_smooth(params4, MGLevel(op, d, 5.0), b)
-    assert np.allclose(op(x4), b, rtol=1e-14)
-
-
 def test_chebyshev_fixed_point():
     rng = np.random.default_rng(2)
     d = rng.uniform(1.0, 2.0, 20)
@@ -177,19 +178,19 @@ def test_chebyshev_fixed_point():
     op = lambda v: spectrum * d * v
     x_exact = rng.standard_normal(20)
     b = op(x_exact)
-    params = ChebyshevParams(degree=4)
-    x = chebyshev_smooth(params, MGLevel(op, d, 10.0), b, x0=x_exact)
+    x = chebyshev_smooth(MGLevel(op, d, 10.0), b, x0=x_exact)
     assert np.allclose(x, x_exact, atol=1e-13)
 
 
 def test_chebyshev_matches_analytic_polynomial():
     # diagonal operator with unit diag: the error propagator is exactly the
-    # shifted Chebyshev polynomial on [low, lam]
+    # shifted Chebyshev polynomial of degree CHEBYSHEV_DEGREE on
+    # [high / SMOOTHING_RANGE, high]
     lam_vals = np.arange(1.0, 11.0)
     d = np.ones(10)
     op = lambda v: lam_vals * v
-    low, high = 2.5, 12.0
-    params = ChebyshevParams(degree=4, alpha_low=high / low)
+    high = 12.0
+    low = high / SMOOTHING_RANGE
     theta = 0.5 * (high + low)
     delta = 0.5 * (high - low)
 
@@ -200,11 +201,12 @@ def test_chebyshev_matches_analytic_polynomial():
     for idx in (4, 6, 9):  # components inside the smoothing interval
         e0 = np.zeros(10)
         e0[idx] = 1.0
-        x = chebyshev_smooth(params, MGLevel(op, d, high), np.zeros(10), x0=e0)
+        x = chebyshev_smooth(MGLevel(op, d, high), np.zeros(10), x0=e0)
         got = x[idx]  # remaining error fraction
-        expected = cheb(4, (theta - lam_vals[idx]) / delta) / cheb(4, theta / delta)
+        k = CHEBYSHEV_DEGREE
+        expected = cheb(k, (theta - lam_vals[idx]) / delta) / cheb(k, theta / delta)
         assert got == pytest.approx(expected, rel=1e-10)
-        bound = 1.0 / cheb(4, theta / delta)
+        bound = 1.0 / cheb(k, theta / delta)
         assert abs(got) <= abs(bound) * 1.1  # within 10% of the min-max bound
 
 
@@ -216,7 +218,6 @@ def test_chebyshev_buffers_bit_identical_to_reference(dim):
     # level
     mesh = build_hierarchy(dim, 3)
     system = make_system(dim, 3, visc=random_viscosity(mesh, seed=dim))
-    params = ChebyshevParams()
     rng = np.random.default_rng(20 + dim)
     for mg, kind in ((build_velocity_multigrid(system), "A"), (build_mass_multigrid(system), "Mp")):
         for level in (1, len(mg.levels) - 1):
@@ -224,9 +225,9 @@ def test_chebyshev_buffers_bit_identical_to_reference(dim):
             diag = compute_diagonal(system.contexts[level], kind)
             for x0 in (None, rng.standard_normal(diag.size)):
                 b = rng.standard_normal(diag.size)
-                got = chebyshev_smooth(params, lv, b, x0=x0)
+                got = chebyshev_smooth(lv, b, x0=x0)
                 want = oracle.chebyshev_smooth_reference(
-                    params, lv.op, diag, b, x0=x0, lam_max=lv.lam_max
+                    lv.op, diag, b, lv.lam_max, CHEBYSHEV_DEGREE, SMOOTHING_RANGE, x0=x0
                 )
                 assert np.array_equal(got, want), (dim, kind, level, x0 is None)
 
@@ -312,7 +313,7 @@ def test_vcycle_adjoint_is_pre_smoothing_cycle(dim):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_vcycle_applies_each_operator_degree_times_per_level(dim):
-    # one warm cycle costs exactly params.degree operator applications on
+    # one warm cycle costs exactly CHEBYSHEV_DEGREE operator applications on
     # every level above the coarsest, no pre-smoothing and no residual, and
     # one on the coarsest, the single iteration of its exact CG solve
     system = make_system(dim, 3)
@@ -325,7 +326,7 @@ def test_vcycle_applies_each_operator_degree_times_per_level(dim):
         before = [ctx.counters.get(op, 0) for ctx in system.contexts]
         mg.vcycle(b)
         calls = [ctx.counters.get(op, 0) - n for ctx, n in zip(system.contexts, before)]
-        assert calls == [1] + [mg.params.degree] * 2, (op, calls)
+        assert calls == [1] + [CHEBYSHEV_DEGREE] * 2, (op, calls)
 
 
 def test_vcycle_richardson_contraction():
@@ -390,8 +391,8 @@ def test_viscosity_robustness_single_sinker():
     assert counts[1e4] <= 2 * counts[1.0]
 
 
-def test_smoothing_range_fifteen_beats_four():
-    # the default interval [lam/15, lam] (deal.II's smoothing_range) makes
+def test_smoothing_range_fifteen_beats_four(monkeypatch):
+    # the shipped interval [lam/15, lam] (deal.II's smoothing_range) makes
     # a better V-cycle on the 3D DR=1e4 sinker field than [lam/4, lam]:
     # 19 against 25 GMRES iterations when this test was written
     mesh = build_hierarchy(3, 4)
@@ -401,8 +402,9 @@ def test_smoothing_range_fifteen_beats_four():
     b = np.random.default_rng(11).standard_normal(system.n_u)
     b[system.active.u_constrained] = 0.0
     counts = []
-    for params in (ChebyshevParams(), ChebyshevParams(alpha_low=4.0)):
-        mg = build_velocity_multigrid(system, params)
+    for smoothing_range in (SMOOTHING_RANGE, 4.0):
+        monkeypatch.setattr(multigrid, "SMOOTHING_RANGE", smoothing_range)
+        mg = build_velocity_multigrid(system)
         _, stats = gmres(
             lambda u: apply_A(system.active, u), mg.vcycle, b, SolveControl(1e-8, 200, 50)
         )

@@ -115,8 +115,9 @@ def test_schur_smoother_built_like_the_finest_mass_level(dim):
 def test_schur_diag_mass_relative_error_below_one():
     mesh = build_hierarchy(2, 2)
     cfg = sinker_config(2, 1, 100.0, seed=4)
-    mu = restrict_viscosity(average_active_viscosity(mesh, cfg, make_gauss_rule(3, 2)), mesh)
-    system = StokesSystem(mesh, distribute_dofs(mesh), mu)
+    rule = make_gauss_rule(3, 2)
+    mu = restrict_viscosity(average_active_viscosity(mesh, cfg, rule), mesh)
+    system = StokesSystem(mesh, distribute_dofs(mesh), mu, rule)
     pc = StokesPreconditioner(system, shape="triangular", schur="diag")
     mp = oracle.assemble_Mp(mesh, system.active.dofs, 1, mu[1], system.rule)
     rng = np.random.default_rng(5)
