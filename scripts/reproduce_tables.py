@@ -77,7 +77,8 @@ def table_storage(full):
             f"  {solver:<10s}{rec.iterations:>8d}{rec.precond_applications:>16d}"
             f"{rec.peak_vector_count:>10d}{mb:>10.2f}"
         )
-    print("  (+4 application-owned vectors: solution, rhs, residual check, scratch)")
+    n_app = rec.memory["application_vector_count"]
+    print(f"  (+{n_app} application-owned vectors: solution, rhs, residual check)")
 
 
 def main():

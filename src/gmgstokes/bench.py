@@ -32,8 +32,8 @@ CHOICES = {
     "schur": ("cg", "vcycle", "diag"),
 }
 # application-owned full-length vectors held by the driver during a solve:
-# solution, right-hand side, true-residual check, pressure-normalization scratch
-APPLICATION_VECTORS = 4
+# solution, right-hand side, true-residual check
+APPLICATION_VECTORS = 3
 # environment variables that size the BLAS/OpenMP pools when numpy loads
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -159,11 +159,10 @@ def records_to_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config_file(path: str) -> dict:
-    """Flat key=value file; '#' starts a comment.  Keys are the RunConfig
-    field names (``n_sinkers`` is an alias of ``sinkers``), with centers
-    given as 'x,y[,z];x,y[,z];...'."""
-    out: dict = {}
+def read_config_file(cfg: RunConfig, path: str) -> RunConfig:
+    """Set ``cfg`` from a flat key=value file; '#' starts a comment.  Keys
+    are the RunConfig field names (``n_sinkers`` is an alias of
+    ``sinkers``), with centers given as 'x,y[,z];x,y[,z];...'."""
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
@@ -172,21 +171,14 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"malformed config line {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            out[key] = val
-    return out
-
-
-def apply_config_entries(cfg: RunConfig, entries: dict) -> RunConfig:
-    for key, val in entries.items():
-        name = "sinkers" if key == "n_sinkers" else key
-        if name == "centers":
-            cfg.centers = [
-                [float(c) for c in point.split(",")] for point in val.split(";") if point.strip()
-            ]
-        elif name in SETTING_TYPES:
-            setattr(cfg, name, SETTING_TYPES[name](val))
-        else:
-            raise ValueError(f"unknown config key {key!r}")
+            name = "sinkers" if key == "n_sinkers" else key
+            if name == "centers":
+                points = [point for point in val.split(";") if point.strip()]
+                cfg.centers = [[float(c) for c in point.split(",")] for point in points]
+            elif name in SETTING_TYPES:
+                setattr(cfg, name, SETTING_TYPES[name](val))
+            else:
+                raise ValueError(f"unknown config key {key!r}")
     return cfg
 
 
@@ -278,7 +270,7 @@ def run_benchmark(cfg: RunConfig) -> RunRecord:
     from .fem import distribute_dofs, make_gauss_rule
     from .mesh import build_hierarchy
     from .operators import StokesSystem, assemble_rhs
-    from .precond import StokesPreconditioner, normalize_pressure
+    from .precond import StokesPreconditioner
     from .viscosity import average_active_viscosity, restrict_viscosity, sinker_config
 
     cfg.validate()
@@ -343,8 +335,7 @@ def run_benchmark(cfg: RunConfig) -> RunRecord:
         record.model_flops_per_vcycle = mg_flops / vcycles
         record.model_flops_per_dof = record.model_flops_per_vcycle / system.n_u
 
-    sol = normalize_pressure(x, system.pressure_weights())
-    r_check = b - system.apply_flat(sol)
+    r_check = b - system.apply_flat(x)
     b_norm = float(np.linalg.norm(b))
     true_res = float(np.linalg.norm(r_check))
 
@@ -391,19 +382,6 @@ def _config_echo(cfg: RunConfig) -> dict:
     return d
 
 
-def write_record(record: RunRecord, path: str, fmt: str) -> None:
-    if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(record.to_dict(), fh, indent=2)
-            fh.write("\n")
-    else:
-        new = not os.path.exists(path) or os.path.getsize(path) == 0
-        with open(path, "a", encoding="utf-8") as fh:
-            if new:
-                fh.write(",".join(CSV_COLUMNS) + "\n")
-            fh.write(",".join(str(v) for v in record.csv_row()) + "\n")
-
-
 SWEEP_AXES = ("levels", "sinkers", "dynamic_ratio", "precond_shape", "schur", "solver")
 
 
@@ -448,7 +426,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         )
     p.add_argument("--config", help="flat key=value configuration file")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
 
 
 def _cfg_from_args(args) -> RunConfig:
@@ -456,7 +433,7 @@ def _cfg_from_args(args) -> RunConfig:
         **{name: getattr(args, name) for name in SETTING_TYPES if getattr(args, name) is not None}
     )
     if args.config:
-        apply_config_entries(cfg, parse_config_file(args.config))
+        read_config_file(cfg, args.config)
     return cfg
 
 
@@ -473,9 +450,11 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="solve one configuration")
     _add_run_flags(runp)
+    runp.add_argument("--format", choices=("csv", "json"), default="json")
     sweepp = sub.add_parser("sweep", help="cross product over comma-separated axis values")
     _add_run_flags(sweepp)
     sweepp.add_argument("--master-seed", type=int, default=1)
+    sweepp.set_defaults(format="csv")  # a sweep writes CSV only
     for axis in SWEEP_AXES:
         sweepp.add_argument("--sweep-" + axis.replace("_", "-"), metavar="V1,V2,...")
 
@@ -496,24 +475,28 @@ def main(argv=None) -> int:
             for var in THREAD_VARS:
                 os.environ[var] = str(cfg.threads)
         if args.command == "run":
-            record = run_benchmark(cfg)
-            if args.out:
-                write_record(record, args.out, args.format)
-            elif args.format == "csv":
-                sys.stdout.write(records_to_csv([record]))
-            else:
-                json.dump(record.to_dict(), sys.stdout, indent=2)
-                sys.stdout.write("\n")
-            return 0 if record.converged and not record.flag else 2
-        axes = {
-            axis: _parse_list(raw, SETTING_TYPES[axis])
-            for axis in SWEEP_AXES
-            if (raw := getattr(args, f"sweep_{axis}"))
-        }
-        records = sweep(cfg, axes, master_seed=args.master_seed)
-        text = records_to_csv(records)
+            records = [run_benchmark(cfg)]
+        else:
+            axes = {
+                axis: _parse_list(raw, SETTING_TYPES[axis])
+                for axis in SWEEP_AXES
+                if (raw := getattr(args, f"sweep_{axis}"))
+            }
+            records = sweep(cfg, axes, master_seed=args.master_seed)
+        if args.format == "json":
+            text = json.dumps(records[0].to_dict(), indent=2) + "\n"
+        else:
+            text = records_to_csv(records)
+        # a run adds its CSV row below the header of a non-empty --out file;
+        # a sweep replaces the file
+        append = (
+            args.command == "run" and args.format == "csv" and args.out is not None
+            and os.path.exists(args.out) and os.path.getsize(args.out) > 0
+        )
+        if append:
+            text = text.split("\n", 1)[1]
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "a" if append else "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)

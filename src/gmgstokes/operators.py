@@ -183,7 +183,6 @@ def apply_B(ctx: LevelOperatorContext, u: np.ndarray) -> np.ndarray:
     """Divergence block: (B u)_i = -int (div u_h) phi^p_i."""
     local = _gather_velocity(ctx, u) @ ctx.elements.B.T
     local *= ctx.h ** (ctx.dim - 1)
-    ctx.count("apply_B")
     return _scatter(ctx.dofs.q1_map, local, ctx.n_p)
 
 
@@ -195,7 +194,6 @@ def apply_Bt(ctx: LevelOperatorContext, p: np.ndarray) -> np.ndarray:
     local *= ctx.h ** (ctx.dim - 1)
     out = _scatter(ctx.u_map, local, ctx.n_u)
     out[ctx.u_constrained] = 0.0
-    ctx.count("apply_Bt")
     return out
 
 
@@ -208,31 +206,19 @@ def apply_Mp(ctx: LevelOperatorContext, p: np.ndarray) -> np.ndarray:
     return _scatter(ctx.dofs.q1_map, local, ctx.n_p)
 
 
-def apply_stokes(ctx: LevelOperatorContext, x: np.ndarray) -> np.ndarray:
-    """Full saddle-point operator on the stacked ``(u, p)``: ``(A u + B^T p, B u)``."""
-    u, p = x[: ctx.n_u], x[ctx.n_u :]
-    return np.concatenate([apply_A(ctx, u) + apply_Bt(ctx, p), apply_B(ctx, u)])
-
-
-def assemble_rhs_function(ctx: LevelOperatorContext, f) -> np.ndarray:
-    """Stacked load vector ``(F, 0)``, with F_i = int phi_i . f for an
-    arbitrary forcing callback ``f(points) -> (n, dim)`` and its
-    constrained entries zeroed."""
+def assemble_rhs(ctx: LevelOperatorContext, cfg: SinkerConfig) -> np.ndarray:
+    """Stacked load vector ``(F, 0)`` of the sinker forcing on the context's
+    level, F_i = int phi_i . f, with its constrained entries zeroed."""
     rule = ctx.rule
     q2 = tabulate(2, ctx.dim, rule)
     pts = cell_quad_points(ctx.lattices, ctx.h, rule)
-    fv = np.asarray(f(pts.reshape(-1, ctx.dim))).reshape(ctx.n_cells, rule.n, ctx.dim)
+    fv = forcing(pts.reshape(-1, ctx.dim), cfg).reshape(ctx.n_cells, rule.n, ctx.dim)
     fw = (fv * rule.weights[None, :, None]).transpose(0, 2, 1)  # (nc, dim, n_q)
     local = (fw @ q2.values).reshape(ctx.n_cells, -1) * ctx.h**ctx.dim
     # the velocity indices lie below n_u, so the pressure part stays zero
     out = _scatter(ctx.u_map, local, ctx.n_u + ctx.n_p)
     out[ctx.u_constrained] = 0.0
     return out
-
-
-def assemble_rhs(ctx: LevelOperatorContext, cfg: SinkerConfig) -> np.ndarray:
-    """Load vector of the sinker forcing on the context's level."""
-    return assemble_rhs_function(ctx, lambda x: forcing(x, cfg))
 
 
 def compute_diagonal(ctx: LevelOperatorContext, which: str) -> np.ndarray:
@@ -247,13 +233,6 @@ def compute_diagonal(ctx: LevelOperatorContext, which: str) -> np.ndarray:
         local = np.outer(ctx.mp_scale, np.diag(ctx.elements.Mp))
         return _scatter(ctx.dofs.q1_map, local, ctx.n_p)
     raise ValueError(f"unknown operator {which!r}, expected 'A' or 'Mp'")
-
-
-def pressure_volume_weights(ctx: LevelOperatorContext) -> np.ndarray:
-    """Vector m with m_j = int phi^p_j, so m . p = int p_h."""
-    q1 = tabulate(1, ctx.dim, ctx.rule)
-    local = np.broadcast_to(ctx.rule.weights @ q1.values * ctx.h**ctx.dim, ctx.dofs.q1_map.shape)
-    return _scatter(ctx.dofs.q1_map, np.ascontiguousarray(local), ctx.n_p)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +251,6 @@ class StokesSystem:
             for level in range(mesh.n_levels)
         ]
         self.active = self.contexts[-1]
-        self._pressure_weights: np.ndarray | None = None
 
     @property
     def n_u(self) -> int:
@@ -287,9 +265,8 @@ class StokesSystem:
         return self.n_u + self.n_p
 
     def apply_flat(self, x: np.ndarray) -> np.ndarray:
-        return apply_stokes(self.active, x)
-
-    def pressure_weights(self) -> np.ndarray:
-        if self._pressure_weights is None:
-            self._pressure_weights = pressure_volume_weights(self.active)
-        return self._pressure_weights
+        """The saddle-point operator on the stacked ``(u, p)`` of the active
+        level: ``(A u + B^T p, B u)``."""
+        ctx = self.active
+        u, p = x[: ctx.n_u], x[ctx.n_u :]
+        return np.concatenate([apply_A(ctx, u) + apply_Bt(ctx, p), apply_B(ctx, u)])

@@ -31,20 +31,6 @@ SCHUR_CG_TOL = 1e-2
 SCHUR_CG_MAX_ITERS = 100
 
 
-def normalize_pressure(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """A copy of the stacked ``(u, p)`` with the pressure shifted so its
-    mass-weighted mean vanishes.
-
-    ``weights`` holds the integrals of the pressure basis functions, so
-    weights . p is the integral of the pressure field and the domain has
-    unit volume; its length is that of the pressure part.
-    """
-    out = x.copy()
-    p = out[out.size - weights.size :]
-    p -= (weights @ p) / weights.sum()
-    return out
-
-
 class StokesPreconditioner:
     """Block preconditioner bound to one assembled system; ``shape`` and
     ``schur`` take the values of ``--precond-shape`` and ``--schur``."""

@@ -12,7 +12,8 @@ of scalar FE functions, the reference the transfer and interpolation tests
 compare against, and the exact block preconditioners built from dense
 factorizations of the matrix-free blocks.  And the Krylov references:
 GMRES by modified Gram-Schmidt and IDR(s) on lists of vectors.  And the
-pre-smoothing-only V-cycle, the adjoint of the production cycle.
+pre-smoothing-only V-cycle, the adjoint of the production cycle, and the
+zero-mean shift of a solution's pressure.
 """
 
 import numpy as np
@@ -176,6 +177,20 @@ def assemble_rhs(mesh: MeshHierarchy, ld: LevelDofs, level, f, rule, constrain=T
     if constrain:
         vec[velocity_indices(ld, dim)] = 0.0
     return vec
+
+
+def normalize_pressure(system, x: np.ndarray) -> np.ndarray:
+    """A copy of the stacked ``(u, p)`` of the system's active level with
+    the pressure shifted so that its integral vanishes.  The weights are
+    the integrals of the pressure basis functions, the row sums of the
+    unit-viscosity pressure mass matrix; the domain has unit volume."""
+    ctx = system.active
+    ones = np.ones(ctx.n_cells)
+    weights = assemble_Mp(system.mesh, ctx.dofs, ctx.level, ones, system.rule).sum(axis=1)
+    out = x.copy()
+    p = out[system.n_u :]
+    p -= (weights @ p) / weights.sum()
+    return out
 
 
 def free_velocity_indices(ld, dim: int) -> np.ndarray:

@@ -5,20 +5,19 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 from gmgstokes.bench import (
     CSV_COLUMNS,
     THREAD_VARS,
     RunConfig,
-    apply_config_entries,
     derive_seed,
     main,
-    parse_config_file,
+    read_config_file,
     records_to_csv,
     run_benchmark,
     sweep,
-    write_record,
 )
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -156,8 +155,8 @@ def test_solver_vector_bytes_formula():
     rec = run_benchmark(small_cfg())
     mem = rec.memory
     assert mem["solver_vector_bytes"] == rec.peak_vector_count * rec.n_dofs * 8
-    assert mem["application_vector_count"] == 4
-    assert mem["application_vector_bytes"] == 4 * rec.n_dofs * 8
+    assert mem["application_vector_count"] == 3
+    assert mem["application_vector_bytes"] == 3 * rec.n_dofs * 8
     for key in ("mesh_bytes", "dofmap_bytes", "constraint_bytes", "multigrid_aux_bytes"):
         assert mem[key] > 0
 
@@ -249,7 +248,7 @@ def test_config_file_round_trip(tmp_path):
         "restart = 30\nreduction = 1e-8\nmax_iters = 77\nthreads = 2\n"
         "centers = 0.25,0.25; 0.5,0.5 ; 0.75,0.75\n"
     )
-    cfg = apply_config_entries(RunConfig(), parse_config_file(str(path)))
+    cfg = read_config_file(RunConfig(), str(path))
     _assert_settings(dataclasses.asdict(cfg))
     assert cfg.centers == [[0.25, 0.25], [0.5, 0.5], [0.75, 0.75]]
 
@@ -258,7 +257,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("unknown_key = 1\n")
     with pytest.raises(ValueError):
-        apply_config_entries(RunConfig(), parse_config_file(str(path)))
+        read_config_file(RunConfig(), str(path))
 
 
 def test_cli_run_json(tmp_path, schema):
@@ -359,14 +358,47 @@ def test_cli_help_exit_code(capsys):
     assert "--dynamic-ratio" in capsys.readouterr().out
 
 
-def test_write_record_csv_appends_header_once(tmp_path):
-    rec = run_benchmark(small_cfg())
+def test_cli_csv_run_appends_and_sweep_replaces(tmp_path):
     path = tmp_path / "out.csv"
-    write_record(rec, str(path), "csv")
-    write_record(rec, str(path), "csv")
-    lines = path.read_text().strip().splitlines()
+    run = ["run", "--dim", "2", "--levels", "1", "--sinkers", "1", "--format", "csv"]
+    assert main([*run, "--out", str(path)]) == 0
+    assert main([*run, "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
-    assert len(lines) == 3
+    assert len(lines) == 3 and lines[1] == lines[2]
+    sweep_args = ["sweep", "--dim", "2", "--levels", "1", "--sinkers", "1"]
+    assert main([*sweep_args, "--sweep-dynamic-ratio", "10", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 2
+
+
+def test_cli_sweep_rejects_format(tmp_path):
+    # --format selects a run's output; a sweep always writes CSV
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--dim", "2", "--levels", "1", "--format", "json", "--out", str(out)]
+    assert main(args) == 1
+    assert not out.exists()
+
+
+def test_true_residual_checks_the_returned_solution(monkeypatch):
+    # the record's true residual is that of the very vector the solver
+    # returned, with nothing shifted or copied in between
+    from gmgstokes import krylov
+
+    seen = {}
+    solve = krylov.fgmres
+
+    def spy(op, precond, b, control):
+        x, stats = solve(op, precond, b, control)
+        seen.update(op=op, b=b, x=x)
+        return x, stats
+
+    monkeypatch.setattr(krylov, "fgmres", spy)
+    rec = run_benchmark(small_cfg(levels=3, sinkers=2))
+    assert rec.converged
+    want = float(np.linalg.norm(seen["b"] - seen["op"](seen["x"])))
+    assert rec.true_final_residual == want
 
 
 def _subprocess_env(**extra):

@@ -10,12 +10,10 @@ from gmgstokes.operators import (
     apply_B,
     apply_Bt,
     apply_Mp,
-    apply_stokes,
     assemble_rhs,
-    assemble_rhs_function,
     compute_diagonal,
 )
-from gmgstokes.viscosity import sinker_config
+from gmgstokes.viscosity import forcing, sinker_config
 
 
 def _oracle(system, level):
@@ -200,13 +198,13 @@ def test_apply_stokes_consistency_and_symmetry():
     n_u = ctx.n_u
     x = rng.standard_normal(n_u + ctx.n_p)
     y = rng.standard_normal(n_u + ctx.n_p)
-    zero = apply_stokes(ctx, np.zeros(n_u + ctx.n_p))
+    zero = system.apply_flat(np.zeros(n_u + ctx.n_p))
     assert np.all(zero == 0.0)
-    kx = apply_stokes(ctx, x)
+    kx = system.apply_flat(x)
     assert np.allclose(kx[:n_u], apply_A(ctx, x[:n_u]) + apply_Bt(ctx, x[n_u:]))
     assert np.allclose(kx[n_u:], apply_B(ctx, x[:n_u]))
     lhs = kx @ y
-    rhs = x @ apply_stokes(ctx, y)
+    rhs = x @ system.apply_flat(y)
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
@@ -230,14 +228,14 @@ def test_rhs_total_downward_force():
 
 
 def test_rhs_matches_quadrature_oracle():
-    mesh = build_hierarchy(2, 1)
-    system = make_system(2, 1)
-
-    def f(pts):
-        return np.stack([np.zeros(len(pts)), -np.ones(len(pts))], axis=1)
-
-    got = assemble_rhs_function(system.active, f)
-    want = oracle.assemble_rhs(mesh, system.active.dofs, 0, f, system.rule)
+    system = make_system(2, 3)
+    ctx = system.active
+    cfg = sinker_config(2, 2, 1e4, seed=3)
+    got = assemble_rhs(ctx, cfg)
+    want = oracle.assemble_rhs(
+        system.mesh, ctx.dofs, ctx.level, lambda x: forcing(x, cfg), system.rule
+    )
+    assert np.any(want != 0.0)
     assert np.allclose(got[: system.n_u], want, atol=1e-14)
     assert np.all(got[system.n_u :] == 0.0)
 

@@ -47,5 +47,6 @@ def test_traced_setup_functions_are_timed():
         "viscosity.average_active_viscosity.s",
         "viscosity.restrict_viscosity.s",
         "operators.StokesSystem.init.s",
+        "operators.assemble_rhs.s",
     ):
         assert out["values"][name] > 0.0, name

@@ -10,7 +10,7 @@ from gmgstokes.krylov import SolveControl, gmres
 from gmgstokes.mesh import build_hierarchy
 from gmgstokes.multigrid import build_mass_multigrid
 from gmgstokes.operators import StokesSystem
-from gmgstokes.precond import StokesPreconditioner, normalize_pressure
+from gmgstokes.precond import StokesPreconditioner
 from gmgstokes.viscosity import average_active_viscosity, restrict_viscosity, sinker_config
 
 
@@ -140,23 +140,6 @@ def test_schur_vcycle_mass_linear_and_adjoint():
     adj = pc.schur_apply(r1) @ r2 - r1 @ oracle.vcycle_pre_only(pc.mass_mg, r2)
     assert abs(adj) <= 1e-10 * abs(pc.schur_apply(r1) @ r2)
     assert pc.schur_apply(r1) @ r1 > 0.0
-
-
-def test_normalize_pressure_properties():
-    system = make_system(2, 2)
-    w = system.pressure_weights()
-    n_u = system.n_u
-    v = np.concatenate([np.zeros(n_u), np.full(system.n_p, 3.7)])
-    out = normalize_pressure(v, w)
-    assert np.abs(out[n_u:]).max() < 1e-13
-    assert np.all(v[n_u:] == 3.7)  # the input is left as it was
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(system.n_dofs)
-    once = normalize_pressure(v, w)
-    twice = normalize_pressure(once, w)
-    assert np.allclose(once[n_u:], twice[n_u:], atol=1e-14)
-    assert abs(w @ once[n_u:]) < 1e-13
-    assert np.array_equal(once[:n_u], v[:n_u])
 
 
 def test_config_validation():
