@@ -429,9 +429,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cfg_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        **{name: getattr(args, name) for name in SETTING_TYPES if getattr(args, name) is not None}
-    )
+    # the flags, then the file's entries; threads stays None if neither gives it
+    given = {k: v for k in SETTING_TYPES if (v := getattr(args, k)) is not None}
+    cfg = RunConfig(**{**given, "threads": args.threads})
     if args.config:
         read_config_file(cfg, args.config)
     return cfg
@@ -466,12 +466,14 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         cfg = _cfg_from_args(args)
-        if args.threads is not None:
+        if cfg.threads is None:
+            cfg.threads = RunConfig.threads  # the environment is left alone
+        else:
             # only the thread count: a sweep axis may still replace the
             # solver or the Schur choice that validate() pairs
             if cfg.threads < 1:
                 raise ValueError("threads must be >= 1")
-            # the flag wins over a preset environment; numpy is not loaded yet
+            # the setting wins over a preset environment; numpy is not loaded yet
             for var in THREAD_VARS:
                 os.environ[var] = str(cfg.threads)
         if args.command == "run":

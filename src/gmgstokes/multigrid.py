@@ -5,17 +5,18 @@ fine function, so prolongation interpolates coarse coefficients at the
 fine support points.  On the uniform lattice the Q1/Q2 spaces are tensor
 products, so prolongation is the Kronecker product of one 1D embedding
 matrix per axis, applied axis by axis, and restriction is its exact
-transpose.  The smoother is the degree-``CHEBYSHEV_DEGREE`` Chebyshev
-polynomial in the Jacobi-preconditioned operator on the upper part
-[lam_max/SMOOTHING_RANGE, lam_max] of the spectrum, with lam_max a
-``LANCZOS_STEPS``-step Lanczos estimate times ``LANCZOS_SAFETY``.  The
-V-cycle smooths only after the coarse correction, V(0,k) with
-k = ``CHEBYSHEV_DEGREE``, so a level costs k operator applications; it
-is linear but not symmetric, so it serves GMRES-type methods, not CG.
-The coarsest level is the single root cell and is never smoothed: its
-inverse is built once by probing the operator on its free unit vectors,
-and each coarse solve is a CG run preconditioned by that inverse, which
-converges in one iteration.
+transpose.  A fine boundary node gets exactly zero weight from every
+coarse interior node, so the V-cycle masks only restricted residuals.
+The smoother is the degree-k Chebyshev polynomial, k =
+``CHEBYSHEV_DEGREE``, in the Jacobi-preconditioned operator on
+[lam_max/SMOOTHING_RANGE, lam_max], with lam_max a ``LANCZOS_STEPS``-step
+Lanczos estimate times ``LANCZOS_SAFETY``.  The V-cycle smooths only
+after the coarse correction, V(0,k), so a level costs k operator
+applications; it is linear but not symmetric, so it serves GMRES-type
+methods, not CG.  The coarsest level is the single root cell and is
+never smoothed: its inverse is built once by probing the operator on its
+free unit vectors, and each coarse solve is a CG run preconditioned by
+that inverse, which converges in one iteration.
 """
 
 from __future__ import annotations
@@ -92,13 +93,13 @@ class MGLevel:
     """A smoothed operator with its eigenvalue estimate ``lam_max``, the
     inverse of its diagonal and three work vectors (residual ``r``, update
     ``d``, product scratch ``t``), so that smoothing allocates nothing but
-    its result; as a V-cycle level, also the constrained indices of its
-    scalar space and the number of components that share them."""
+    its result; as a V-cycle level, also its constrained indices and the
+    number of scalar components its vectors stack."""
 
-    def __init__(self, op, diag, lam_max: float, scalar_constrained=_NO_DOFS, components: int = 1):
+    def __init__(self, op, diag, lam_max: float, constrained=_NO_DOFS, components: int = 1):
         self.op = op
         self.lam_max = lam_max
-        self.scalar_constrained = scalar_constrained
+        self.constrained = constrained
         self.components = components
         self.inv_diag = 1.0 / diag
         self.r, self.d, self.t = (np.empty(diag.size) for _ in range(3))
@@ -153,20 +154,17 @@ def chebyshev_smooth(level: MGLevel, b, x0=None):
 
 
 class CoarseLevel:
-    """The coarsest V-cycle level, solved exactly: its operator, the
-    constrained indices of its scalar space, the number of components that
-    share them, and the operator's inverse.  The inverse is built by
-    probing ``op`` on the free unit vectors and inverting that block; the
-    constrained entries, on which the level operators act as the identity,
-    get the identity."""
+    """The coarsest V-cycle level, solved exactly: its operator, constrained
+    indices, component count and the operator's inverse.  The inverse is
+    built by probing ``op`` on the free unit vectors and inverting that
+    block; the constrained entries, on which the level operators act as
+    the identity, get the identity."""
 
-    def __init__(self, op, n: int, scalar_constrained=_NO_DOFS, components: int = 1):
+    def __init__(self, op, n: int, constrained=_NO_DOFS, components: int = 1):
         self.op = op
-        self.scalar_constrained = scalar_constrained
+        self.constrained = constrained
         self.components = components
-        free = np.ones((components, n // components), dtype=bool)
-        free[:, scalar_constrained] = False
-        free = np.flatnonzero(free)
+        free = np.delete(np.arange(n), constrained)
         block = np.empty((free.size, free.size))
         e = np.zeros(n)
         for j, i in enumerate(free):
@@ -188,13 +186,13 @@ class CoarseLevel:
 
 
 def _level_operator(ctx: LevelOperatorContext, which: str):
-    """One level's viscous block (``which="A"``, with the level's Dirichlet
-    set on each of dim components) or pressure mass matrix (``"Mp"``): its
-    application, size, constrained scalar indices and component count.  The
-    application looks up ``apply_A``/``apply_Mp`` when called, so the
-    tracer's rebinding reaches it."""
+    """One level's viscous block (``which="A"``, constrained on the
+    velocity entries of the level's Dirichlet set) or pressure mass matrix
+    (``"Mp"``): its application, size, constrained indices and component
+    count.  The application looks up ``apply_A``/``apply_Mp`` when called,
+    so the tracer's rebinding reaches it."""
     if which == "A":
-        return (lambda v: apply_A(ctx, v)), ctx.n_u, ctx.dofs.dirichlet_scalar, ctx.dim
+        return (lambda v: apply_A(ctx, v)), ctx.n_u, ctx.u_constrained, ctx.dim
     if which == "Mp":
         return (lambda v: apply_Mp(ctx, v)), ctx.n_p, _NO_DOFS, 1
     raise ValueError(f"unknown operator {which!r}, expected 'A' or 'Mp'")
@@ -233,24 +231,19 @@ class TransferPlan:
     matrices: list
 
 
-def _embedding_1d(degree: int) -> np.ndarray:
-    """E[t][i, j] = value of coarse function j at fine node i of child t."""
-    nodes = np.arange(degree + 1) / degree
-    return lagrange_1d(degree, (np.arange(2)[:, None] + nodes) / 2.0)[0]
-
-
 def build_transfer_plan(mesh: MeshHierarchy, degree: int) -> TransferPlan:
-    e1 = _embedding_1d(degree)
+    """Coarse 1D Lagrange basis values at the fine nodes.  Fine node i has
+    local coordinate i/2k - cell in its coarse cell, a fraction exact in
+    binary, so the basis zeros are exact."""
     k = degree
+    basis = lagrange_1d(k, np.arange(2 * k + 1) / (2 * k))[0]  # at each local coordinate
     matrices: list = [None]
     for level in range(1, mesh.n_levels):
         nc = mesh.cells_per_axis(level - 1)
-        mat = np.zeros((2 * k * nc + 1, k * nc + 1))
-        for c in range(nc):
-            for t in range(2):
-                # a node shared by neighbouring cells gets the same value from both
-                f = k * (2 * c + t)
-                mat[f : f + k + 1, k * c : k * c + k + 1] = e1[t]
+        fine = np.arange(2 * k * nc + 1)
+        cell = np.minimum(fine // (2 * k), nc - 1)
+        mat = np.zeros((fine.size, k * nc + 1))
+        mat[fine[:, None], k * cell[:, None] + np.arange(k + 1)] = basis[fine - 2 * k * cell]
         matrices.append(mat)
     return TransferPlan(dim=mesh.dim, matrices=matrices)
 
@@ -272,21 +265,15 @@ def _per_axis(plan: TransferPlan, x, mat: np.ndarray) -> np.ndarray:
     return x.reshape(lead + (-1,))
 
 
-def prolongate(plan: TransferPlan, level: int, v_coarse, constrained_fine=None):
-    """Coarse-to-fine embedding of a scalar field, level-1 -> level.
-
-    ``v_coarse`` holds one field of shape (n,) or a stack (components, n).
-    Entries listed in ``constrained_fine`` are zeroed afterwards."""
-    out = _per_axis(plan, v_coarse, plan.matrices[level].T)
-    if constrained_fine is not None:
-        out[..., constrained_fine] = 0.0
-    return out
+def prolongate(plan: TransferPlan, level: int, v_coarse):
+    """Coarse-to-fine embedding, level-1 -> level, of one scalar field (n,)
+    or a stack (components, n); zero on the coarse boundary stays zero."""
+    return _per_axis(plan, v_coarse, plan.matrices[level].T)
 
 
 def restrict(plan: TransferPlan, level: int, r_fine):
-    """Transpose of the unconstrained :func:`prolongate`, level -> level-1.
-    With constraints, zero the constrained fine entries of ``r_fine``
-    first, as :meth:`Multigrid.vcycle` does."""
+    """Transpose of :func:`prolongate`, level -> level-1; fine boundary
+    entries reach only coarse boundary entries."""
     return _per_axis(plan, r_fine, plan.matrices[level])
 
 
@@ -330,12 +317,11 @@ class Multigrid:
             return self._coarse_solve(b)
         lv = self.levels[level]
         comp = lv.components
-        r = b.reshape(comp, -1).copy()
-        r[:, lv.scalar_constrained] = 0.0
-        rc = restrict(self.plan, level, r)
-        rc[:, self.levels[level - 1].scalar_constrained] = 0.0
-        ec = self.vcycle(rc.reshape(-1), level - 1)
-        x0 = prolongate(self.plan, level, ec.reshape(comp, -1), lv.scalar_constrained)
+        # the only mask: the transfers keep the constrained set apart exactly
+        rc = restrict(self.plan, level, b.reshape(comp, -1)).reshape(-1)
+        rc[self.levels[level - 1].constrained] = 0.0
+        ec = self.vcycle(rc, level - 1)
+        x0 = prolongate(self.plan, level, ec.reshape(comp, -1))
         return chebyshev_smooth(lv, b, x0=x0.reshape(-1))
 
 

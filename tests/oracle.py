@@ -274,12 +274,14 @@ def vcycle_pre_only(mg, b, level=None):
         return mg.levels[0].solve(b, mg.coarse_control)[0]
     lv = mg.levels[level]
     x = chebyshev_smooth(lv, b)
-    r = (b - lv.op(x)).reshape(lv.components, -1)
-    r[:, lv.scalar_constrained] = 0.0
-    rc = restrict(mg.plan, level, r)
-    rc[:, mg.levels[level - 1].scalar_constrained] = 0.0
-    ec = vcycle_pre_only(mg, rc.reshape(-1), level - 1).reshape(lv.components, -1)
-    return x + prolongate(mg.plan, level, ec, lv.scalar_constrained).reshape(-1)
+    r = b - lv.op(x)
+    r[lv.constrained] = 0.0
+    rc = restrict(mg.plan, level, r.reshape(lv.components, -1)).reshape(-1)
+    rc[mg.levels[level - 1].constrained] = 0.0
+    ec = vcycle_pre_only(mg, rc, level - 1)
+    fine = prolongate(mg.plan, level, ec.reshape(lv.components, -1)).reshape(-1)
+    fine[lv.constrained] = 0.0
+    return x + fine
 
 
 def gmres_mgs(op, precond, b, control, flexible):

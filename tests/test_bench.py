@@ -10,8 +10,10 @@ import pytest
 
 from gmgstokes.bench import (
     CSV_COLUMNS,
+    CHOICES,
     THREAD_VARS,
     RunConfig,
+    RunRecord,
     derive_seed,
     main,
     read_config_file,
@@ -50,6 +52,16 @@ def test_run_record_validates_against_schema(schema):
     rec = run_benchmark(small_cfg())
     assert rec.converged
     jsonschema.validate(rec.to_dict(), schema)
+
+
+def test_schema_describes_every_record_and_config_field(schema):
+    # validation alone cannot tell, since the schema admits keys it does
+    # not name; so every field needs a property, and the enums are CHOICES
+    config = schema["properties"]["config"]["properties"]
+    assert {f.name for f in dataclasses.fields(RunConfig)} <= set(config)
+    assert {f.name for f in dataclasses.fields(RunRecord)} <= set(schema["properties"])
+    for name, allowed in CHOICES.items():
+        assert config[name]["enum"] == list(allowed), name
 
 
 @pytest.mark.parametrize(
@@ -434,6 +446,26 @@ def test_cli_threads_flag_overrides_preset_environment(tmp_path, schema, flag):
     assert data["config"]["threads"] == 3
     assert data["environment"]["threads"] == {var: "3" for var in THREAD_VARS}
     assert "environment" not in CSV_COLUMNS
+
+
+def test_cli_threads_config_entry_overrides_preset_environment(tmp_path, schema):
+    # a threads entry in --config sizes the pools as the flag does
+    out = tmp_path / "record.json"
+    conf = tmp_path / "run.conf"
+    conf.write_text("threads = 3\n")
+    preset = {var: "7" for var in THREAD_VARS}
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "gmgstokes", "run", "--dim", "2", "--levels", "1",
+            "--sinkers", "1", "--config", str(conf), "--out", str(out),
+        ],
+        env=_subprocess_env(**preset), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(out.read_text())
+    jsonschema.validate(data, schema)
+    assert data["config"]["threads"] == 3
+    assert data["environment"]["threads"] == {var: "3" for var in THREAD_VARS}
 
 
 def _cap_coarse_solves(monkeypatch):

@@ -107,7 +107,7 @@ def test_schur_smoother_built_like_the_finest_mass_level(dim):
     assert got.lam_max == want.lam_max
     assert np.array_equal(got.inv_diag, want.inv_diag)
     assert got.components == want.components == 1
-    assert got.scalar_constrained.size == want.scalar_constrained.size == 0
+    assert got.constrained.size == want.constrained.size == 0
     b = np.random.default_rng(dim).standard_normal(system.n_p)
     assert np.array_equal(got.op(b), want.op(b))
 
