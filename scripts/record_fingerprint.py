@@ -1,23 +1,26 @@
 #!/usr/bin/env python3
 """Print the bit-level fingerprint of a fixed set of solver runs.
 
-One JSON line per run: its label, iteration count, flag, residual history
-and true final residual (as ``float.hex``, so every bit shows), the
-operator calls per level, the solver's peak vector count and the memory
-report.  The runs cover every outer solver and Schur choice: six small
-2D/3D configurations, the inputs of the ``sinker3d-fgmres`` and
+One JSON line per run: its label, outer solver and Schur choice,
+iteration count, flag, residual history and true final residual (as
+``float.hex``, so every bit shows), the operator calls per level, the
+solver's peak vector count and the memory report.  The runs cover every
+outer solver and Schur choice: eight small 2D/3D configurations (among
+them the 3D levels=3 layouts of seeds 6 and 7, which take 59 FGMRES
+iterations), the inputs of the ``sinker3d-fgmres`` and
 ``sinker2d-idr-mgmass`` benchmark workloads at seed 1, and the 32 rows of
 the ``sweep3d-small`` sweep at master seed 5.
 
 A change meant to leave the arithmetic alone should leave the output
-alone; compare two checkouts with
+alone.  ``tests/test_fingerprint.py`` compares it with the committed
+``tests/data/record_fingerprint.jsonl``; after a change that moves it on
+purpose, rewrite that file with
 
-    python3 scripts/record_fingerprint.py > before.jsonl   # in one tree
-    python3 scripts/record_fingerprint.py > after.jsonl    # in the other
-    diff before.jsonl after.jsonl
+    python3 scripts/record_fingerprint.py > tests/data/record_fingerprint.jsonl
 
-The BLAS pools are pinned to one thread before numpy loads, since a
-threaded reduction may sum in another order.  It takes about 10 s.
+and review its ``git diff``.  The BLAS pools are pinned to one thread
+before numpy loads, since a threaded reduction may sum in another order.
+It takes about 10 s.
 """
 
 import json
@@ -31,6 +34,8 @@ from gmgstokes.bench import THREAD_VARS, RunConfig, run_benchmark, sweep  # load
 RUNS = {
     "3d-l2-fgmres-cg": RunConfig(dim=3, levels=2),
     "3d-l3-fgmres-cg-seed2": RunConfig(dim=3, levels=3, seed=2),
+    "3d-l3-fgmres-cg-seed6": RunConfig(dim=3, levels=3, seed=6),
+    "3d-l3-fgmres-cg-seed7": RunConfig(dim=3, levels=3, seed=7),
     "3d-l3-gmres-vcycle-seed6": RunConfig(dim=3, levels=3, seed=6, solver="gmres", schur="vcycle"),
     "2d-l5-idr-vcycle-seed3": RunConfig(dim=2, levels=5, seed=3, solver="idr", schur="vcycle"),
     "2d-l4-fgmres-cg-diagonal": RunConfig(dim=2, levels=4, precond_shape="diagonal"),
@@ -55,6 +60,8 @@ def fingerprint(label, rec) -> str:
     return json.dumps(
         {
             "run": label,
+            "solver": rec.config["solver"],
+            "schur": rec.config["schur"],
             "iterations": rec.iterations,
             "flag": rec.flag,
             "error": rec.error,
