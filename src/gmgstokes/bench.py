@@ -14,7 +14,9 @@ loads (the ``--threads`` flag).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import os
@@ -153,10 +155,9 @@ CSV_COLUMNS = [
 
 
 def records_to_csv(records) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for rec in records:
-        lines.append(",".join(str(v) for v in rec.csv_row()))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([CSV_COLUMNS] + [r.csv_row() for r in records])
+    return out.getvalue()
 
 
 def read_config_file(cfg: RunConfig, path: str) -> RunConfig:
@@ -201,25 +202,22 @@ def _flops_per_apply_A(ctx) -> float:
 
 
 def memory_report(system, precond, peak: int) -> dict:
-    """Instrumented byte counts per category; solver vector bytes follow
-    ``peak`` (the solver's peak_vector_count) x vector length x 8.  The
-    multigrid bytes cover the hierarchies' transfers and smoothers and the
-    level viscosities, not the Schur mass-CG smoother."""
+    """Instrumented byte counts per category.  The dof map bytes are what
+    the operators hold: each level's ``u_map`` and ``p_map``, per-cell
+    scales and gather scratch, and the shared element matrices; the
+    constraint bytes are each level's ``u_constrained``.  Solver vector
+    bytes follow ``peak`` (the solver's peak_vector_count) x vector length
+    x 8.  The multigrid bytes cover the hierarchies' transfers and
+    smoothers and the level viscosities, not the Schur mass-CG smoother."""
     n = system.n_dofs
     mesh_bytes = sum(ctx.lattices.nbytes for ctx in system.contexts)
-    # scalar maps, plus what the operators hold: each level's combined
-    # velocity map, per-cell scales and gather scratch, and the shared
-    # element matrices
     dof_bytes = sum(
-        ctx.dofs.q2_map.nbytes + ctx.dofs.q1_map.nbytes
-        + ctx.u_map.nbytes + ctx.a_scale.nbytes + ctx.mp_scale.nbytes
+        ctx.u_map.nbytes + ctx.p_map.nbytes + ctx.a_scale.nbytes + ctx.mp_scale.nbytes
         + sum(w.nbytes for w in ctx.work)
         for ctx in system.contexts
     )
     dof_bytes += sum({id(c.elements): c.elements.nbytes for c in system.contexts}.values())
-    cons_bytes = sum(
-        ctx.dofs.dirichlet_scalar.nbytes + ctx.u_constrained.nbytes for ctx in system.contexts
-    )
+    cons_bytes = sum(ctx.u_constrained.nbytes for ctx in system.contexts)
     mg_bytes = sum(ctx.mu.nbytes for ctx in system.contexts)
     for mg in (precond.velocity_mg, precond.mass_mg):
         if mg is None:

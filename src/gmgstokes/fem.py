@@ -120,17 +120,6 @@ def tabulate(degree: int, dim: int, rule: QuadratureRule) -> BasisTables:
 # Degree-of-freedom layout
 
 
-@dataclass
-class LevelDofs:
-    """Scalar dof maps of one level for the Q2 and Q1 spaces."""
-
-    q2_map: np.ndarray  # (n_cells, 3**dim) scalar Q2 indices
-    q1_map: np.ndarray  # (n_cells, 2**dim) scalar Q1 indices
-    n_scalar: int  # Q2 dofs per velocity component
-    n_p: int
-    dirichlet_scalar: np.ndarray  # Q2 indices with support point on the boundary
-
-
 def _grid_boundary_indices(m: int, dim: int) -> np.ndarray:
     c = lattice(m, dim)
     return np.nonzero(np.any((c == 0) | (c == m - 1), axis=1))[0]
@@ -141,27 +130,25 @@ def _cell_map(lattices: np.ndarray, degree: int, m: int, dim: int) -> np.ndarray
     return glob @ m ** np.arange(dim)
 
 
-def distribute_dofs(mesh: MeshHierarchy) -> list[LevelDofs]:
-    """Number the Q2/Q1 dofs of every level, coarsest first.
-
-    Support points shared between cells receive one global index, which
-    gives C0 continuity by construction.
-    """
+def distribute_dofs(mesh: MeshHierarchy) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Number the dofs of every level, coarsest first, as the maps the
+    operators index with: per level ``(u_map, p_map, u_constrained)``, the
+    component-major velocity map (n_cells, dim * 3**dim) with entries
+    ``a * n_scalar`` plus the scalar Q2 index, the Q1 pressure map
+    (n_cells, 2**dim), and the velocity indices of every component whose
+    support point lies on the boundary.  Shared support points get one
+    global index, which gives C0 continuity by construction."""
+    dim = mesh.dim
     out = []
     for level in range(mesh.n_levels):
         n = mesh.cells_per_axis(level)
         m2 = 2 * n + 1
-        m1 = n + 1
         lat = mesh.cell_lattices(level)
-        out.append(
-            LevelDofs(
-                q2_map=_cell_map(lat, 2, m2, mesh.dim),
-                q1_map=_cell_map(lat, 1, m1, mesh.dim),
-                n_scalar=m2**mesh.dim,
-                n_p=m1**mesh.dim,
-                dirichlet_scalar=_grid_boundary_indices(m2, mesh.dim),
-            )
-        )
+        offsets = np.arange(dim)[:, None] * m2**dim
+        q2_map = _cell_map(lat, 2, m2, dim)
+        u_map = (offsets[None] + q2_map[:, None, :]).reshape(len(lat), -1)
+        u_constrained = (offsets + _grid_boundary_indices(m2, dim)).ravel()
+        out.append((u_map, _cell_map(lat, 1, n + 1, dim), u_constrained))
     return out
 
 

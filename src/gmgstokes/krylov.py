@@ -49,6 +49,8 @@ class SolveControl:
     def __post_init__(self):
         if not 0.0 < self.reduction_target < 1.0:
             raise ValueError("reduction_target must lie in (0, 1)")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.restart_length < 1:
             raise ValueError("restart_length must be >= 1")
 

@@ -13,8 +13,8 @@ matrix of the unit cube with mu = 1:
     A_c = mu_c h**(dim-2) K_A,   B_c = h**(dim-1) K_B,   Mp_c = h**dim / mu_c K_M.
 
 An application gathers the local coefficients of every cell of a level
-through one cell->dof map (for the velocity, the component offset plus
-the scalar Q2 map, so all components at once), multiplies the
+through one cell->dof map of ``fem.distribute_dofs`` (``u_map`` takes
+all velocity components at once, ``p_map`` the pressure), multiplies the
 (n_cells, n_loc) block by the element matrix in one GEMM, scales each
 cell row, and scatter-adds with one ``np.bincount``.  The element
 matrices are built once per dimension and quadrature rule from the
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import LevelDofs, QuadratureRule, cell_quad_points, tabulate
+from .fem import QuadratureRule, cell_quad_points, tabulate
 from .mesh import MeshHierarchy
 from .viscosity import SinkerConfig, forcing
 
@@ -86,11 +86,11 @@ class LevelOperatorContext:
     h: float
     n_cells: int
     lattices: np.ndarray
-    dofs: LevelDofs
     mu: np.ndarray  # one averaged viscosity per cell
     rule: QuadratureRule
     elements: ElementMatrices
     u_map: np.ndarray  # (n_cells, dim*L2) velocity indices, component-major
+    p_map: np.ndarray  # (n_cells, L1) pressure indices
     u_constrained: np.ndarray  # velocity indices treated as identity rows
     counters: dict = field(default_factory=dict)
     # per-cell scales of the viscous block, mu_c h**(dim-2), and of the
@@ -112,37 +112,35 @@ class LevelOperatorContext:
 
     @property
     def n_u(self) -> int:
-        return self.dim * self.dofs.n_scalar
+        # the Q2 and Q1 lattices have 2n+1 and n+1 points per axis, n = 2**level
+        return self.dim * (2 * 2**self.level + 1) ** self.dim
 
     @property
     def n_p(self) -> int:
-        return self.dofs.n_p
+        return (2**self.level + 1) ** self.dim
 
     def count(self, name: str) -> None:
         self.counters[name] = self.counters.get(name, 0) + 1
 
 
 def make_level_context(
-    mesh: MeshHierarchy, dofs: LevelDofs, mu: np.ndarray, level: int, rule: QuadratureRule
+    mesh: MeshHierarchy, dofs: tuple, mu: np.ndarray, level: int, rule: QuadratureRule
 ) -> LevelOperatorContext:
-    """The context of ``level`` from its dof maps and cell viscosities.  The
-    velocity maps and the constrained set take every component block: the
-    component offset plus the scalar index."""
-    dim = mesh.dim
-    offsets = np.arange(dim)[:, None] * dofs.n_scalar
-    u_map = (offsets[None] + dofs.q2_map[:, None, :]).reshape(mesh.n_cells(level), -1)
+    """The context of ``level`` from its ``fem.distribute_dofs`` layout
+    ``(u_map, p_map, u_constrained)`` and cell viscosities."""
+    u_map, p_map, u_constrained = dofs
     return LevelOperatorContext(
-        dim=dim,
+        dim=mesh.dim,
         level=level,
         h=mesh.h(level),
         n_cells=mesh.n_cells(level),
         lattices=mesh.cell_lattices(level),
-        dofs=dofs,
         mu=mu,
         rule=rule,
-        elements=_element_matrices(dim, rule),
+        elements=_element_matrices(mesh.dim, rule),
         u_map=u_map,
-        u_constrained=(offsets + dofs.dirichlet_scalar).ravel(),
+        p_map=p_map,
+        u_constrained=u_constrained,
     )
 
 
@@ -183,14 +181,14 @@ def apply_B(ctx: LevelOperatorContext, u: np.ndarray) -> np.ndarray:
     """Divergence block: (B u)_i = -int (div u_h) phi^p_i."""
     local = _gather_velocity(ctx, u) @ ctx.elements.B.T
     local *= ctx.h ** (ctx.dim - 1)
-    return _scatter(ctx.dofs.q1_map, local, ctx.n_p)
+    return _scatter(ctx.p_map, local, ctx.n_p)
 
 
 def apply_Bt(ctx: LevelOperatorContext, p: np.ndarray) -> np.ndarray:
     """Transpose of the divergence block; constrained rows are zeroed so
     that <B u, p> == <u, B^T p> with the masked B."""
     _check_length(p, ctx.n_p, "pressure")
-    local = np.matmul(np.take(p, ctx.dofs.q1_map), ctx.elements.B, out=ctx.work[2])
+    local = np.matmul(np.take(p, ctx.p_map), ctx.elements.B, out=ctx.work[2])
     local *= ctx.h ** (ctx.dim - 1)
     out = _scatter(ctx.u_map, local, ctx.n_u)
     out[ctx.u_constrained] = 0.0
@@ -200,10 +198,10 @@ def apply_Bt(ctx: LevelOperatorContext, p: np.ndarray) -> np.ndarray:
 def apply_Mp(ctx: LevelOperatorContext, p: np.ndarray) -> np.ndarray:
     """Viscosity-weighted pressure mass matrix: int (1/mu) phi^p_i phi^p_j."""
     _check_length(p, ctx.n_p, "pressure")
-    local = np.take(p, ctx.dofs.q1_map) @ ctx.elements.Mp
+    local = np.take(p, ctx.p_map) @ ctx.elements.Mp
     local *= ctx.mp_scale[:, None]
     ctx.count("apply_Mp")
-    return _scatter(ctx.dofs.q1_map, local, ctx.n_p)
+    return _scatter(ctx.p_map, local, ctx.n_p)
 
 
 def assemble_rhs(ctx: LevelOperatorContext, cfg: SinkerConfig) -> np.ndarray:
@@ -231,7 +229,7 @@ def compute_diagonal(ctx: LevelOperatorContext, which: str) -> np.ndarray:
         return out
     if which == "Mp":
         local = np.outer(ctx.mp_scale, np.diag(ctx.elements.Mp))
-        return _scatter(ctx.dofs.q1_map, local, ctx.n_p)
+        return _scatter(ctx.p_map, local, ctx.n_p)
     raise ValueError(f"unknown operator {which!r}, expected 'A' or 'Mp'")
 
 
@@ -242,7 +240,7 @@ class StokesSystem:
     """Level contexts plus the active-level saddle operator of one problem."""
 
     def __init__(
-        self, mesh: MeshHierarchy, dofs: list[LevelDofs], mu: list[np.ndarray], rule: QuadratureRule
+        self, mesh: MeshHierarchy, dofs: list[tuple], mu: list[np.ndarray], rule: QuadratureRule
     ):
         self.mesh = mesh
         self.rule = rule

@@ -16,10 +16,12 @@ pre-smoothing-only V-cycle, the adjoint of the production cycle, and the
 zero-mean shift of a solution's pressure.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from gmgstokes import krylov
-from gmgstokes.fem import LevelDofs, QuadratureRule
+from gmgstokes.fem import QuadratureRule
 from gmgstokes.mesh import MeshHierarchy
 from gmgstokes.multigrid import chebyshev_smooth, prolongate, restrict
 from gmgstokes.operators import apply_A, apply_Bt
@@ -83,6 +85,32 @@ def local_basis(degree: int, dim: int, rule: QuadratureRule):
     return vals, grads
 
 
+class ScalarDofs(NamedTuple):
+    """The scalar layout of one level, read back from the velocity layout of
+    ``fem.distribute_dofs``.  The dense assembly below expands the velocity
+    components itself, so it checks components 1..dim-1 of ``u_map``."""
+
+    q2_map: np.ndarray  # (n_cells, 3**dim) scalar Q2 indices, block 0 of u_map
+    q1_map: np.ndarray  # (n_cells, 2**dim) scalar Q1 indices
+    n_scalar: int  # Q2 dofs per velocity component
+    n_p: int
+    dirichlet_scalar: np.ndarray  # Q2 indices with support point on the boundary
+
+
+def scalar_dofs(u_map, p_map, u_constrained, dim: int) -> ScalarDofs:
+    """The scalar layout of one level's ``(u_map, p_map, u_constrained)``."""
+    q2_map = u_map[:, : 3**dim]
+    n_scalar = int(q2_map.max()) + 1
+    return ScalarDofs(
+        q2_map, p_map, n_scalar, int(p_map.max()) + 1, u_constrained[u_constrained < n_scalar]
+    )
+
+
+def level_dofs(ctx) -> ScalarDofs:
+    """The scalar layout of a level operator context."""
+    return scalar_dofs(ctx.u_map, ctx.p_map, ctx.u_constrained, ctx.dim)
+
+
 def _mask_identity(mat: np.ndarray, rows: np.ndarray) -> None:
     mat[rows, :] = 0.0
     mat[:, rows] = 0.0
@@ -94,7 +122,7 @@ def velocity_indices(ld, dim: int) -> np.ndarray:
     return (ld.dirichlet_scalar[None, :] + offs[:, None]).ravel()
 
 
-def assemble_A(mesh, ld: LevelDofs, level, mu_cells, rule, constrain=True):
+def assemble_A(mesh, ld: ScalarDofs, level, mu_cells, rule, constrain=True):
     dim = mesh.dim
     h = mesh.h(level)
     _, grads = local_basis(2, dim, rule)
@@ -121,7 +149,7 @@ def assemble_A(mesh, ld: LevelDofs, level, mu_cells, rule, constrain=True):
     return mat
 
 
-def assemble_B(mesh, ld: LevelDofs, level, rule, constrain=True):
+def assemble_B(mesh, ld: ScalarDofs, level, rule, constrain=True):
     dim = mesh.dim
     h = mesh.h(level)
     _, grads2 = local_basis(2, dim, rule)
@@ -145,7 +173,7 @@ def assemble_B(mesh, ld: LevelDofs, level, rule, constrain=True):
     return mat
 
 
-def assemble_Mp(mesh, ld: LevelDofs, level, mu_cells, rule):
+def assemble_Mp(mesh, ld: ScalarDofs, level, mu_cells, rule):
     dim = mesh.dim
     h = mesh.h(level)
     vals1, _ = local_basis(1, dim, rule)
@@ -160,7 +188,7 @@ def assemble_Mp(mesh, ld: LevelDofs, level, mu_cells, rule):
     return mat
 
 
-def assemble_rhs(mesh: MeshHierarchy, ld: LevelDofs, level, f, rule, constrain=True):
+def assemble_rhs(mesh: MeshHierarchy, ld: ScalarDofs, level, f, rule, constrain=True):
     dim = mesh.dim
     h = mesh.h(level)
     vals2, _ = local_basis(2, dim, rule)
@@ -186,7 +214,7 @@ def normalize_pressure(system, x: np.ndarray) -> np.ndarray:
     unit-viscosity pressure mass matrix; the domain has unit volume."""
     ctx = system.active
     ones = np.ones(ctx.n_cells)
-    weights = assemble_Mp(system.mesh, ctx.dofs, ctx.level, ones, system.rule).sum(axis=1)
+    weights = assemble_Mp(system.mesh, level_dofs(ctx), ctx.level, ones, system.rule).sum(axis=1)
     out = x.copy()
     p = out[system.n_u :]
     p -= (weights @ p) / weights.sum()
@@ -210,7 +238,7 @@ def support_points(dim: int, level: int, degree: int) -> np.ndarray:
 
 def evaluate_scalar(
     coeffs: np.ndarray,
-    dofs: LevelDofs,
+    dofs: ScalarDofs,
     dim: int,
     degree: int,
     points: np.ndarray,

@@ -96,10 +96,11 @@ def test_matrix_free_oracle_equivalence():
             system = make_system(dim, n_levels, visc=visc)
             lvl = mesh.active_level
             ctx = system.active
+            ld = oracle.level_dofs(ctx)
             mats = {
-                apply_A: oracle.assemble_A(mesh, ctx.dofs, lvl, visc[lvl], system.rule),
-                apply_B: oracle.assemble_B(mesh, ctx.dofs, lvl, system.rule),
-                apply_Mp: oracle.assemble_Mp(mesh, ctx.dofs, lvl, visc[lvl], system.rule),
+                apply_A: oracle.assemble_A(mesh, ld, lvl, visc[lvl], system.rule),
+                apply_B: oracle.assemble_B(mesh, ld, lvl, system.rule),
+                apply_Mp: oracle.assemble_Mp(mesh, ld, lvl, visc[lvl], system.rule),
             }
             rng = np.random.default_rng(99)
             for _ in range(20):
@@ -312,7 +313,8 @@ def manufactured_errors(n_levels):
         [fns["fx"](pts[:, 0], pts[:, 1]), fns["fy"](pts[:, 0], pts[:, 1])], axis=1
     )
     ctx = system.active
-    b_u = oracle.assemble_rhs(mesh, ctx.dofs, ctx.level, force, rhs_rule)
+    ld = oracle.level_dofs(ctx)
+    b_u = oracle.assemble_rhs(mesh, ld, ctx.level, force, rhs_rule)
     b = np.concatenate([b_u, np.zeros(system.n_p)])
     pc = oracle.exact_preconditioner(system)
     x, stats = gmres(system.apply_flat, pc.apply, b, SolveControl(1e-12, 10, 10))
@@ -327,10 +329,10 @@ def manufactured_errors(n_levels):
     h = ctx.h
     eu = 0.0
     for a, name in ((0, "ux"), (1, "uy")):
-        vals = sol_u.reshape(2, -1)[a][ctx.dofs.q2_map] @ q2.values.T
+        vals = sol_u.reshape(2, -1)[a][ld.q2_map] @ q2.values.T
         exact = fns[name](pts[:, 0], pts[:, 1]).reshape(vals.shape)
         eu += np.sum((vals - exact) ** 2 * err_rule.weights[None, :]) * h**2
-    pv = sol_p[ctx.dofs.q1_map] @ q1.values.T
+    pv = sol_p[ld.q1_map] @ q1.values.T
     pe = fns["p"](pts[:, 0], pts[:, 1]).reshape(pv.shape)
     diff = pv - pe
     mean = np.sum(diff * err_rule.weights[None, :]) * h**2
@@ -365,7 +367,7 @@ def test_schur_mass_spectral_equivalence():
     widths = {}
     for n_levels in (1, 2):
         system = make_system(2, n_levels)
-        mesh, ld = system.mesh, system.active.dofs
+        mesh, ld = system.mesh, oracle.level_dofs(system.active)
         lvl = mesh.active_level
         mu = np.ones(mesh.n_cells(lvl))
         amat = oracle.assemble_A(mesh, ld, lvl, mu, system.rule, constrain=False)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -8,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from gmgstokes import __version__
 from gmgstokes.bench import (
     CSV_COLUMNS,
     CHOICES,
@@ -357,12 +359,36 @@ def test_cli_config_error_exit_code():
 
 @pytest.mark.parametrize(
     "flag",
-    [["--solver", "bogus"], ["--dim", "4"], ["--dim", "x"], ["--no-such-flag"], ["--format", "xml"]],
+    [
+        ["--solver", "bogus"],
+        ["--dim", "4"],
+        ["--dim", "x"],
+        ["--no-such-flag"],
+        ["--format", "xml"],
+        ["--max-iters", "0", "--dim", "2", "--levels", "1"],  # rejected after set-up
+    ],
 )
 def test_cli_invalid_value_exit_code(flag):
     # 2 is kept for flagged or unconverged runs, so argparse's own usage
-    # errors (the last three) must not exit 2
+    # errors (--dim x, an unknown flag, --format xml) must not exit 2
     assert main(["run", *flag, "--out", os.devnull]) == 1
+
+
+def test_sweep_csv_quotes_error_text(tmp_path):
+    # a failed row's error text holds commas, so each row must still parse
+    # to the header's fields and give the text back
+    path = tmp_path / "out.csv"
+    args = ["sweep", "--dim", "2", "--levels", "1", "--sinkers", "1", "--sweep-schur", "cg,bogus"]
+    assert main([*args, "--out", str(path)]) == 2
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == CSV_COLUMNS
+    assert [len(row) for row in rows] == [len(CSV_COLUMNS)] * 3
+    with pytest.raises(ValueError) as exc:
+        RunConfig(schur="bogus").validate()
+    failed = dict(zip(CSV_COLUMNS, rows[2]))
+    assert failed["error"] == f"ValueError: {exc.value}" and "," in failed["error"]
+    assert failed["package_version"] == __version__
 
 
 def test_cli_help_exit_code(capsys):
@@ -469,12 +495,20 @@ def test_cli_threads_config_entry_overrides_preset_environment(tmp_path, schema)
 
 
 def _cap_coarse_solves(monkeypatch):
-    """Make every hierarchy's coarse CG stop before its first iteration;
-    one iteration converges, since it is preconditioned by the exact
-    inverse."""
+    """Make every hierarchy's coarse CG report that it did not converge.
+    A cap on its iterations cannot do it: one iteration converges, since
+    it is preconditioned by the exact inverse, and a cap below one is
+    rejected."""
     from gmgstokes import multigrid
 
-    monkeypatch.setattr(multigrid, "COARSE_CG_MAX_ITERS", 0)
+    solve = multigrid.CoarseLevel.solve
+
+    def unconverged(self, b, control):
+        x, stats = solve(self, b, control)
+        stats.converged = False
+        return x, stats
+
+    monkeypatch.setattr(multigrid.CoarseLevel, "solve", unconverged)
 
 
 def test_unconverged_coarse_solve_flags_the_run(monkeypatch):

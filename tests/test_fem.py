@@ -9,6 +9,7 @@ from oracle import (
     lagrange_nodes,
     lagrange_value,
     local_basis,
+    scalar_dofs,
     support_points,
 )
 
@@ -102,20 +103,24 @@ def test_cellwise_quadrature_volume(rule2d):
     assert integral == pytest.approx(h**2, rel=1e-15)
 
 
+def level_scalar_dofs(dim, n_levels, level):
+    return scalar_dofs(*distribute_dofs(build_hierarchy(dim, n_levels))[level], dim)
+
+
 def test_dof_counts_single_cell_2d():
-    (ld,) = distribute_dofs(build_hierarchy(2, 1))
+    ld = level_scalar_dofs(2, 1, 0)
     assert 2 * ld.n_scalar == 18
     assert ld.n_p == 4
 
 
 def test_dof_counts_single_cell_3d():
-    (ld,) = distribute_dofs(build_hierarchy(3, 1))
+    ld = level_scalar_dofs(3, 1, 0)
     assert 3 * ld.n_scalar == 81
     assert ld.n_p == 8
 
 
 def test_dof_counts_3d_level2():
-    ld = distribute_dofs(build_hierarchy(3, 3))[2]
+    ld = level_scalar_dofs(3, 3, 2)
     assert 3 * ld.n_scalar == 2187
     assert ld.n_p == 125
     # enumeration cross-check: distinct q2 support points
@@ -125,23 +130,36 @@ def test_dof_counts_3d_level2():
 
 def test_dirichlet_set_matches_boundary_support_points():
     for dim in (2, 3):
-        dofs = distribute_dofs(build_hierarchy(dim, 3))
         for level in (1, 2):
             for degree in (1, 2):
                 pts = support_points(dim, level, degree)
                 on_boundary = np.nonzero(np.any((pts == 0.0) | (pts == 1.0), axis=1))[0]
                 if degree == 2:
-                    found = dofs[level].dirichlet_scalar
+                    found = level_scalar_dofs(dim, 3, level).dirichlet_scalar
                 else:
                     found = _grid_boundary_indices(2**level + 1, dim)
                 assert np.array_equal(np.sort(found), on_boundary), (dim, level, degree)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_velocity_layout_is_component_major(dim):
+    # each component block of u_map is block 0 shifted by a * n_scalar, and
+    # u_constrained holds the boundary support points of every component
+    for level, (u_map, _, u_constrained) in enumerate(distribute_dofs(build_hierarchy(dim, 3))):
+        n_scalar = (2 * 2**level + 1) ** dim
+        blocks = u_map.reshape(len(u_map), dim, 3**dim)
+        for a in range(dim):
+            assert np.array_equal(blocks[:, a], blocks[:, 0] + a * n_scalar), (level, a)
+        pts = support_points(dim, level, 2)
+        on_boundary = np.nonzero(np.any((pts == 0.0) | (pts == 1.0), axis=1))[0]
+        want = (np.arange(dim)[:, None] * n_scalar + on_boundary).ravel()
+        assert np.array_equal(np.sort(u_constrained), want), level
+
+
 def test_continuity_across_shared_face():
     # a global coefficient vector evaluated from either neighboring cell
     # agrees on the shared face
-    mesh = build_hierarchy(2, 2)
-    ld = distribute_dofs(mesh)[1]
+    ld = level_scalar_dofs(2, 2, 1)
     rng = np.random.default_rng(0)
     coeffs = rng.standard_normal(ld.n_scalar)
     # face x = 0.5 between cells (0,0) and (1,0): evaluate at (0.5, t)
@@ -156,8 +174,7 @@ def test_continuity_across_shared_face():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_interpolation_exactness(dim):
     # polynomials of per-axis degree <= 2 are reproduced pointwise
-    mesh = build_hierarchy(dim, 2)
-    dofs = distribute_dofs(mesh)
+    ld = level_scalar_dofs(dim, 2, 1)
     rng = np.random.default_rng(1)
 
     def poly(pts):
@@ -168,5 +185,5 @@ def test_interpolation_exactness(dim):
 
     coeffs = interpolate_scalar(poly, dim, 1, 2)
     pts = rng.random((40, dim))
-    vals = evaluate_scalar(coeffs, dofs[1], dim, 2, pts)
+    vals = evaluate_scalar(coeffs, ld, dim, 2, pts)
     assert np.allclose(vals, poly(pts), atol=1e-13)

@@ -360,3 +360,5 @@ def test_control_validation():
         SolveControl(reduction_target=2.0)
     with pytest.raises(ValueError):
         SolveControl(restart_length=0)
+    with pytest.raises(ValueError):
+        SolveControl(max_iters=0)

@@ -31,7 +31,7 @@ def transfer_cases():
     and both degrees on a 3-level hierarchy."""
     for dim in (2, 3):
         mesh = build_hierarchy(dim, 3)
-        dofs = distribute_dofs(mesh)
+        dofs = [oracle.scalar_dofs(*layout, dim) for layout in distribute_dofs(mesh)]
         for degree in (1, 2):
             sizes = [ld.n_scalar if degree == 2 else ld.n_p for ld in dofs]
             yield dim, degree, build_transfer_plan(mesh, degree), dofs, sizes
@@ -132,7 +132,7 @@ def test_restriction_zero_and_column_sums():
 def test_q1_transfer_constants():
     mesh = build_hierarchy(2, 2)
     plan = build_transfer_plan(mesh, 1)
-    out = prolongate(plan, 1, np.ones(distribute_dofs(mesh)[0].n_p))
+    out = prolongate(plan, 1, np.ones(4))  # the 2 x 2 level-0 Q1 lattice
     assert np.abs(out - 1.0).max() < 1e-14
 
 
@@ -166,7 +166,7 @@ def test_lambda_max_against_dense_eigendecomposition():
     system = make_system(2, 2)
     ctx = system.active
     amat = oracle.assemble_A(
-        system.mesh, ctx.dofs, 1, np.ones(system.mesh.n_cells(1)), system.rule
+        system.mesh, oracle.level_dofs(ctx), 1, np.ones(system.mesh.n_cells(1)), system.rule
     )
     diag = np.diag(amat)
     true_lam = np.linalg.eigvalsh(np.diag(1 / np.sqrt(diag)) @ amat @ np.diag(1 / np.sqrt(diag))).max()
@@ -343,7 +343,8 @@ def test_vcycle_richardson_contraction():
     system = make_system(2, 3)
     mg = build_velocity_multigrid(system)
     amat = oracle.assemble_A(
-        system.mesh, system.active.dofs, 2, np.ones(system.mesh.n_cells(2)), system.rule
+        system.mesh, oracle.level_dofs(system.active), 2, np.ones(system.mesh.n_cells(2)),
+        system.rule,
     )
     rng = np.random.default_rng(5)
     b = rng.standard_normal(system.n_u)

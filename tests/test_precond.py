@@ -119,7 +119,7 @@ def test_schur_diag_mass_relative_error_below_one():
     mu = restrict_viscosity(average_active_viscosity(mesh, cfg, rule), mesh)
     system = StokesSystem(mesh, distribute_dofs(mesh), mu, rule)
     pc = StokesPreconditioner(system, shape="triangular", schur="diag")
-    mp = oracle.assemble_Mp(mesh, system.active.dofs, 1, mu[1], system.rule)
+    mp = oracle.assemble_Mp(mesh, oracle.level_dofs(system.active), 1, mu[1], system.rule)
     rng = np.random.default_rng(5)
     for _ in range(5):
         r = rng.standard_normal(system.n_p)
@@ -167,7 +167,7 @@ def schur_interval(n_levels):
     """All generalized eigenvalues of S against M_p (the constant-pressure
     null direction contributes the zero eigenvalue)."""
     system = make_system(2, n_levels)
-    mesh, ld = system.mesh, system.active.dofs
+    mesh, ld = system.mesh, oracle.level_dofs(system.active)
     lvl = mesh.active_level
     mu = np.ones(mesh.n_cells(lvl))
     amat = oracle.assemble_A(mesh, ld, lvl, mu, system.rule, constrain=False)
