@@ -93,6 +93,9 @@ class LevelOperatorContext:
     p_map: np.ndarray  # (n_cells, L1) pressure indices
     u_constrained: np.ndarray  # velocity indices treated as identity rows
     counters: dict = field(default_factory=dict)
+    # velocity and pressure lengths, from the level's 2**level cells per axis
+    n_u: int = field(init=False)
+    n_p: int = field(init=False)
     # per-cell scales of the viscous block, mu_c h**(dim-2), and of the
     # pressure mass matrix, h**dim / mu_c
     a_scale: np.ndarray = field(init=False, repr=False)
@@ -106,18 +109,12 @@ class LevelOperatorContext:
     def __post_init__(self):
         if len(self.mu) != self.n_cells:
             raise ValueError("viscosity values must cover every cell on the level")
+        n = 2**self.level
+        self.n_u = self.dim * (2 * n + 1) ** self.dim
+        self.n_p = (n + 1) ** self.dim
         self.a_scale = self.mu * self.h ** (self.dim - 2)
         self.mp_scale = self.h**self.dim / self.mu
         self.work = (np.empty(self.n_u), np.empty(self.u_map.shape), np.empty(self.u_map.shape))
-
-    @property
-    def n_u(self) -> int:
-        # the Q2 and Q1 lattices have 2n+1 and n+1 points per axis, n = 2**level
-        return self.dim * (2 * 2**self.level + 1) ** self.dim
-
-    @property
-    def n_p(self) -> int:
-        return (2**self.level + 1) ** self.dim
 
     def count(self, name: str) -> None:
         self.counters[name] = self.counters.get(name, 0) + 1
