@@ -121,13 +121,20 @@ def tabulate(degree: int, dim: int, rule: QuadratureRule) -> BasisTables:
 
 
 def _grid_boundary_indices(m: int, dim: int) -> np.ndarray:
-    c = lattice(m, dim)
-    return np.nonzero(np.any((c == 0) | (c == m - 1), axis=1))[0]
+    """Lexicographic indices of the points on the boundary of the m**dim
+    lattice: the two end planes of every axis."""
+    on = np.zeros((m,) * dim, dtype=bool)
+    for a in range(dim):
+        np.moveaxis(on, a, 0)[[0, -1]] = True
+    # the set is symmetric in the axes, so C order numbers it x fastest too
+    return np.flatnonzero(on)
 
 
 def _cell_map(lattices: np.ndarray, degree: int, m: int, dim: int) -> np.ndarray:
-    glob = degree * lattices[:, None, :] + lattice(degree + 1, dim)[None, :, :]
-    return glob @ m ** np.arange(dim)
+    """Global index of every local node of every cell on the m**dim node
+    lattice: the cell's first node plus each local node's offset."""
+    w = m ** np.arange(dim)
+    return ((degree * lattices) @ w)[:, None] + lattice(degree + 1, dim) @ w
 
 
 def distribute_dofs(mesh: MeshHierarchy) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -208,8 +208,9 @@ def assemble_rhs(ctx: LevelOperatorContext, cfg: SinkerConfig) -> np.ndarray:
     q2 = tabulate(2, ctx.dim, rule)
     pts = cell_quad_points(ctx.lattices, ctx.h, rule)
     fv = forcing(pts.reshape(-1, ctx.dim), cfg).reshape(ctx.n_cells, rule.n, ctx.dim)
-    fw = (fv * rule.weights[None, :, None]).transpose(0, 2, 1)  # (nc, dim, n_q)
-    local = (fw @ q2.values).reshape(ctx.n_cells, -1) * ctx.h**ctx.dim
+    fv *= rule.weights[None, :, None]
+    local = (fv.transpose(0, 2, 1) @ q2.values).reshape(ctx.n_cells, -1)  # (nc, dim*L2)
+    local *= ctx.h**ctx.dim
     # the velocity indices lie below n_u, so the pressure part stays zero
     out = _scatter(ctx.u_map, local, ctx.n_u + ctx.n_p)
     out[ctx.u_constrained] = 0.0

@@ -80,11 +80,15 @@ def chi(x, cfg: SinkerConfig) -> np.ndarray:
     multiply; the empty product (n = 0) is 1.
     """
     x = np.asarray(x, dtype=float)
-    pts = np.atleast_2d(x)
-    out = np.ones(pts.shape[0])
+    cols = np.atleast_2d(x).T  # (dim, n_points)
+    out = np.ones(cols.shape[1])
     for c in cfg.centers:
-        dist = np.linalg.norm(pts - c[None, :], axis=1)
-        gap = np.maximum(0.0, dist - cfg.omega / 2)
+        # squares summed in axis order, as np.linalg.norm(axis=1) sums
+        # them, but one whole column at a time
+        d2 = (cols[0] - c[0]) ** 2
+        for a in range(1, len(c)):
+            d2 += (cols[a] - c[a]) ** 2
+        gap = np.maximum(0.0, np.sqrt(d2) - cfg.omega / 2)
         out *= 1.0 - np.exp(-cfg.delta * gap**2)
     return out if x.ndim > 1 else out[0]
 

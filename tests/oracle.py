@@ -13,7 +13,9 @@ compare against, and the exact block preconditioners built from dense
 factorizations of the matrix-free blocks.  And the Krylov references:
 GMRES by modified Gram-Schmidt and IDR(s) on lists of vectors.  And the
 pre-smoothing-only V-cycle, the adjoint of the production cycle, and the
-zero-mean shift of a solution's pressure.
+zero-mean shift of a solution's pressure.  And the first, row-wise forms
+of the set-up kernels that the production code now evaluates by columns
+and from the lattice, which it must match bit for bit.
 """
 
 from typing import NamedTuple
@@ -22,7 +24,7 @@ import numpy as np
 
 from gmgstokes import krylov
 from gmgstokes.fem import QuadratureRule
-from gmgstokes.mesh import MeshHierarchy
+from gmgstokes.mesh import MeshHierarchy, lattice
 from gmgstokes.multigrid import chebyshev_smooth, prolongate, restrict
 from gmgstokes.operators import apply_A, apply_Bt
 from gmgstokes.precond import StokesPreconditioner
@@ -234,6 +236,32 @@ def support_points(dim: int, level: int, degree: int) -> np.ndarray:
     k = np.arange(m**dim)
     coords = np.stack([(k // m**a) % m for a in range(dim)], axis=1)
     return coords / (degree * n)
+
+
+def chi_by_rows(x, cfg) -> np.ndarray:
+    """``viscosity.chi`` with the distance of every point to a sinker taken
+    row by row by ``np.linalg.norm(axis=1)``."""
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
+    out = np.ones(pts.shape[0])
+    for c in cfg.centers:
+        dist = np.linalg.norm(pts - c[None, :], axis=1)
+        gap = np.maximum(0.0, dist - cfg.omega / 2)
+        out *= 1.0 - np.exp(-cfg.delta * gap**2)
+    return out if x.ndim > 1 else out[0]
+
+
+def cell_map_by_digits(lattices: np.ndarray, degree: int, m: int, dim: int) -> np.ndarray:
+    """``fem._cell_map`` from the (n_cells, n_loc, dim) table of the global
+    lattice digits of every local node."""
+    glob = degree * lattices[:, None, :] + lattice(degree + 1, dim)[None, :, :]
+    return glob @ m ** np.arange(dim)
+
+
+def grid_boundary_by_digits(m: int, dim: int) -> np.ndarray:
+    """``fem._grid_boundary_indices`` from the (m**dim, dim) digit table."""
+    c = lattice(m, dim)
+    return np.nonzero(np.any((c == 0) | (c == m - 1), axis=1))[0]
 
 
 def evaluate_scalar(

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import (
+    cell_map_by_digits,
     evaluate_scalar,
+    grid_boundary_by_digits,
     interpolate_scalar,
     lagrange_nodes,
     lagrange_value,
@@ -15,13 +17,14 @@ from oracle import (
 
 from gmgstokes.fem import (
     QuadratureRule,
+    _cell_map,
     _grid_boundary_indices,
     distribute_dofs,
     lagrange_1d,
     make_gauss_rule,
     tabulate,
 )
-from gmgstokes.mesh import build_hierarchy
+from gmgstokes.mesh import build_hierarchy, lattice
 
 
 def point_rule(points) -> QuadratureRule:
@@ -139,6 +142,21 @@ def test_dirichlet_set_matches_boundary_support_points():
                 else:
                     found = _grid_boundary_indices(2**level + 1, dim)
                 assert np.array_equal(np.sort(found), on_boundary), (dim, level, degree)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 5, 9, 17, 33])
+def test_lattice_maps_match_digit_table_forms(dim, m):
+    # nodes m = degree * n + 1 of an n**dim cell lattice, for Q1 and Q2
+    assert np.array_equal(_grid_boundary_indices(m, dim), grid_boundary_by_digits(m, dim))
+    for degree in (1, 2):
+        n, rem = divmod(m - 1, degree)
+        if rem:
+            continue
+        cells = lattice(n, dim)
+        assert np.array_equal(
+            _cell_map(cells, degree, m, dim), cell_map_by_digits(cells, degree, m, dim)
+        ), degree
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import chi_by_rows
+
 from gmgstokes.fem import make_gauss_rule
 from gmgstokes.mesh import build_hierarchy
 from gmgstokes.viscosity import (
@@ -81,6 +83,18 @@ def test_chi_range_and_mu_monotonicity(n, dr, seed):
     assert np.all(m >= cfg.mu_min - 1e-12) and np.all(m <= cfg.mu_max + 1e-12)
     order = np.argsort(c)
     assert np.all(np.diff(m[order]) <= 1e-12)  # larger chi -> smaller mu
+
+
+@given(st.sampled_from([2, 3]), st.integers(1, 500), st.integers(0, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_chi_bit_identical_to_row_norm_form(dim, n_points, n_sinkers, seed):
+    # the column-wise distance sums the squares in norm(axis=1)'s order
+    cfg = sinker_config(dim, n_sinkers, 1e4, seed=seed)
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n_points, dim))
+    assert np.array_equal(chi(pts, cfg), chi_by_rows(pts, cfg))
+    assert np.array_equal(chi(pts[0], cfg), chi_by_rows(pts[0], cfg))
+    assert np.ndim(chi(pts[0], cfg)) == 0
 
 
 def test_chi_smoothness_across_sinker_boundary():
