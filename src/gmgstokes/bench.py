@@ -61,11 +61,12 @@ class RunConfig:
     threads: int = 1
 
     def validate(self) -> None:
-        """Reject values outside ``CHOICES``, and ``schur="cg"`` with ``gmres``:
-        the inner CG varies between applications.  ``idr`` with ``cg`` is
-        accepted but unsound, as IDR(s) assumes a fixed preconditioner (in
-        ``BENCH_7.json`` one such sweep row took 17-67 iterations where FGMRES
-        took 32-44); ROADMAP item 6 plans a fixed linear Schur choice."""
+        """Reject values outside ``CHOICES``, out-of-range numbers, and
+        ``schur="cg"`` with ``gmres``: the inner CG varies between
+        applications.  ``idr`` with ``cg`` is accepted but unsound, as IDR(s)
+        assumes a fixed preconditioner (in ``BENCH_7.json`` one such sweep row
+        took 17-67 iterations where FGMRES took 32-44); ROADMAP item 6 plans a
+        fixed linear Schur choice."""
         for name, allowed in CHOICES.items():
             value = getattr(self, name)
             if value not in allowed:
@@ -74,8 +75,18 @@ class RunConfig:
             raise ValueError("levels must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        self.validate_solve_settings()
         if self.schur == "cg" and self.solver not in ("fgmres", "idr"):
             raise ValueError("schur='cg' varies between applications; use fgmres or idr")
+
+    def validate_solve_settings(self) -> None:
+        """Reject iteration limits and a reduction that ``krylov`` would only
+        reject after the set-up; no sweep axis replaces these settings."""
+        for name in ("max_iters", "restart", "idr_s"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0.0 < self.reduction < 1.0:
+            raise ValueError("reduction must lie in (0, 1)")
 
 
 # the type of every RunConfig field that a flag or a config entry sets;
@@ -386,10 +397,12 @@ SWEEP_AXES = ("levels", "sinkers", "dynamic_ratio", "precond_shape", "schur", "s
 def sweep(base: RunConfig, axes: dict, master_seed: int = 1) -> list[RunRecord]:
     """Cross product of axis values in a fixed documented order; per-row
     seeds derive from the master seed, and individual failures are
-    recorded without stopping the sweep."""
+    recorded without stopping the sweep.  Unknown axes and bad settings that
+    no axis replaces raise before the first row is set up."""
     for key in axes:
         if key not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {key!r}; choose from {SWEEP_AXES}")
+    base.validate_solve_settings()
     names = [a for a in SWEEP_AXES if a in axes]
     records = []
     combos = itertools.product(*[axes[n] for n in names])

@@ -365,13 +365,37 @@ def test_cli_config_error_exit_code():
         ["--dim", "x"],
         ["--no-such-flag"],
         ["--format", "xml"],
-        ["--max-iters", "0", "--dim", "2", "--levels", "1"],  # rejected after set-up
+        ["--max-iters", "0", "--dim", "2", "--levels", "1"],  # rejected before set-up
     ],
 )
 def test_cli_invalid_value_exit_code(flag):
     # 2 is kept for flagged or unconverged runs, so argparse's own usage
     # errors (--dim x, an unknown flag, --format xml) must not exit 2
     assert main(["run", *flag, "--out", os.devnull]) == 1
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--max-iters", "0"],
+        ["--restart", "0"],
+        ["--idr-s", "0"],
+        ["--reduction", "0"],
+        ["--reduction", "1"],
+        ["--reduction", "2"],
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_bad_solve_setting_exits_before_setup(command, flag, monkeypatch):
+    # krylov.SolveControl rejects these too, but only after the whole
+    # set-up; a sweep would record every row as failed and exit 2
+    from gmgstokes import mesh
+
+    built = []
+    monkeypatch.setattr(mesh, "build_hierarchy", lambda *args: built.append(args))
+    args = [command, "--dim", "2", "--levels", "1", "--sinkers", "1", *flag]
+    assert main([*args, "--out", os.devnull]) == 1
+    assert built == []
 
 
 def test_sweep_csv_quotes_error_text(tmp_path):
