@@ -61,12 +61,11 @@ class RunConfig:
     threads: int = 1
 
     def validate(self) -> None:
-        """Reject values outside ``CHOICES``, out-of-range numbers, and
-        ``schur="cg"`` with ``gmres``: the inner CG varies between
-        applications.  ``idr`` with ``cg`` is accepted but unsound, as IDR(s)
-        assumes a fixed preconditioner (in ``BENCH_7.json`` one such sweep row
-        took 17-67 iterations where FGMRES took 32-44); ROADMAP item 6 plans a
-        fixed linear Schur choice."""
+        """Reject values outside ``CHOICES``, and ``schur="cg"`` with ``gmres``:
+        the inner CG varies between applications.  ``idr`` with ``cg`` is
+        accepted but unsound, as IDR(s) assumes a fixed preconditioner (in
+        ``BENCH_7.json`` one such sweep row took 17-67 iterations where FGMRES
+        took 32-44); ROADMAP item 6 plans a fixed linear Schur choice."""
         for name, allowed in CHOICES.items():
             value = getattr(self, name)
             if value not in allowed:

@@ -121,18 +121,15 @@ def tabulate(degree: int, dim: int, rule: QuadratureRule) -> BasisTables:
 
 
 def _grid_boundary_indices(m: int, dim: int) -> np.ndarray:
-    """Lexicographic indices of the points on the boundary of the m**dim
-    lattice: the two end planes of every axis."""
     on = np.zeros((m,) * dim, dtype=bool)
     for a in range(dim):
-        np.moveaxis(on, a, 0)[[0, -1]] = True
+        np.moveaxis(on, a, 0)[[0, -1]] = True  # both end planes of axis a
     # the set is symmetric in the axes, so C order numbers it x fastest too
     return np.flatnonzero(on)
 
 
 def _cell_map(lattices: np.ndarray, degree: int, m: int, dim: int) -> np.ndarray:
-    """Global index of every local node of every cell on the m**dim node
-    lattice: the cell's first node plus each local node's offset."""
+    # each cell's first node plus each local node's offset on the m**dim lattice
     w = m ** np.arange(dim)
     return ((degree * lattices) @ w)[:, None] + lattice(degree + 1, dim) @ w
 
