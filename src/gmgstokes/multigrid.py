@@ -14,8 +14,8 @@ Lanczos estimate times ``LANCZOS_SAFETY``.  The V-cycle smooths only
 after the coarse correction, V(0,k), so a level costs k operator
 applications; it is linear but not symmetric, so it serves GMRES-type
 methods, not CG.  The coarsest level is the single root cell and is
-never smoothed: its inverse is built once by probing the operator on its
-free unit vectors, and each coarse solve is a CG run preconditioned by
+never smoothed: its inverse is built once from the scaled reference
+element matrix, and each coarse solve is a CG run preconditioned by
 that inverse, which converges in one iteration.
 """
 
@@ -155,24 +155,22 @@ def chebyshev_smooth(level: MGLevel, b, x0=None):
 
 class CoarseLevel:
     """The coarsest V-cycle level, solved exactly: its operator, constrained
-    indices, component count and the operator's inverse.  The inverse is
-    built by probing ``op`` on the free unit vectors and inverting that
-    block; the constrained entries, on which the level operators act as
-    the identity, get the identity."""
+    indices, component count and the operator's inverse.  The level is the
+    single root cell, whose dof map is the identity, so its free block is
+    the cell's scale times the free block of the reference element matrix;
+    the constrained entries, on which the level operators act as the
+    identity, get the identity."""
 
-    def __init__(self, op, n: int, constrained=_NO_DOFS, components: int = 1):
+    def __init__(self, op, element, scale, constrained=_NO_DOFS, components: int = 1):
+        if scale.size != 1:
+            raise ValueError(f"the coarse level has {scale.size} cells, expected one")
         self.op = op
         self.constrained = constrained
         self.components = components
+        n = element.shape[0]
         free = np.delete(np.arange(n), constrained)
-        block = np.empty((free.size, free.size))
-        e = np.zeros(n)
-        for j, i in enumerate(free):
-            e[i] = 1.0
-            block[:, j] = op(e)[free]
-            e[i] = 0.0
         self.inverse = np.eye(n)
-        self.inverse[np.ix_(free, free)] = np.linalg.inv(block)
+        self.inverse[np.ix_(free, free)] = np.linalg.inv(scale[0] * element[np.ix_(free, free)])
 
     @property
     def nbytes(self) -> int:
@@ -188,20 +186,21 @@ class CoarseLevel:
 def _level_operator(ctx: LevelOperatorContext, which: str):
     """One level's viscous block (``which="A"``, constrained on the
     velocity entries of the level's Dirichlet set) or pressure mass matrix
-    (``"Mp"``): its application, size, constrained indices and component
-    count.  The application looks up ``apply_A``/``apply_Mp`` when called,
-    so the tracer's rebinding reaches it."""
+    (``"Mp"``): its application, reference element matrix, per-cell
+    scales, constrained indices and component count.  The application
+    looks up ``apply_A``/``apply_Mp`` when called, so the tracer's
+    rebinding reaches it."""
     if which == "A":
-        return (lambda v: apply_A(ctx, v)), ctx.n_u, ctx.u_constrained, ctx.dim
+        return (lambda v: apply_A(ctx, v)), ctx.elements.A, ctx.a_scale, ctx.u_constrained, ctx.dim
     if which == "Mp":
-        return (lambda v: apply_Mp(ctx, v)), ctx.n_p, _NO_DOFS, 1
+        return (lambda v: apply_Mp(ctx, v)), ctx.elements.Mp, ctx.mp_scale, _NO_DOFS, 1
     raise ValueError(f"unknown operator {which!r}, expected 'A' or 'Mp'")
 
 
 def smoother(ctx: LevelOperatorContext, which: str) -> MGLevel:
     """The Chebyshev smoother of one level's ``"A"`` or ``"Mp"`` operator:
     its exact diagonal and Lanczos estimate."""
-    op, _, constrained, components = _level_operator(ctx, which)
+    op, _, _, constrained, components = _level_operator(ctx, which)
     diag = compute_diagonal(ctx, which)
     return MGLevel(op, diag, estimate_lambda_max(op, diag), constrained, components)
 

@@ -257,6 +257,11 @@ def test_coarse_solve_is_exact(dim):
     for mg, op, n in cases:
         coarse = mg.levels[0]
         dense = oracle.materialize(op, n)
+        # the inverse taken from the element matrix is the inverse of the
+        # probed free block, bit for bit
+        free = np.setdiff1d(np.arange(n), coarse.constrained)
+        got = coarse.inverse[np.ix_(free, free)]
+        assert np.array_equal(got, np.linalg.inv(dense[np.ix_(free, free)]))
         for _ in range(3):
             b = rng.standard_normal(n)
             x = mg.vcycle(b, 0)
@@ -265,6 +270,12 @@ def test_coarse_solve_is_exact(dim):
         assert not hasattr(coarse, "lam_max") and not hasattr(coarse, "inv_diag")
         assert mg.coarse_iters_max == 1
         assert mg.coarse_unconverged == 0
+
+
+def test_coarse_level_must_be_one_cell():
+    ctx = make_system(2, 2).contexts[1]
+    with pytest.raises(ValueError, match="expected one"):
+        multigrid.CoarseLevel(None, ctx.elements.Mp, ctx.mp_scale)
 
 
 def test_vcycle_allocation_budget():
