@@ -248,8 +248,8 @@ def memory_report(system, precond, peak: int) -> dict:
 
 def chebyshev_report(precond) -> dict:
     """The polynomial degree shared by every Chebyshev smoother in the
-    preconditioner, and each smoother's safety-scaled largest-eigenvalue
-    estimate ``lam_max`` and smoothing interval: levels 1..L of the velocity
+    preconditioner, and each smoother's element-matrix eigenvalue bound
+    ``lam_max`` and smoothing interval: levels 1..L of the velocity
     hierarchy and, when built, of the mass hierarchy (coarsest first; level
     0 is solved exactly and has no smoother), and the Schur mass-CG
     preconditioner when it is used."""

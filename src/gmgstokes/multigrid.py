@@ -9,8 +9,9 @@ transpose.  A fine boundary node gets exactly zero weight from every
 coarse interior node, so the V-cycle masks only restricted residuals.
 The smoother is the degree-k Chebyshev polynomial, k =
 ``CHEBYSHEV_DEGREE``, in the Jacobi-preconditioned operator on
-[lam_max/SMOOTHING_RANGE, lam_max], with lam_max a ``LANCZOS_STEPS``-step
-Lanczos estimate times ``LANCZOS_SAFETY``.  The V-cycle smooths only
+[lam_max/SMOOTHING_RANGE, lam_max], with lam_max the largest eigenvalue
+of the Jacobi-scaled reference element matrix, an upper bound of the
+level's spectrum for any viscosity.  The V-cycle smooths only
 after the coarse correction, V(0,k), so a level costs k operator
 applications; it is linear but not symmetric, so it serves GMRES-type
 methods, not CG.  The coarsest level is the single root cell and is
@@ -32,71 +33,26 @@ from .operators import LevelOperatorContext, StokesSystem, apply_A, apply_Mp, co
 
 
 # Chebyshev smoother settings, those of deal.II's ``PreconditionChebyshev``
-# in its matrix-free multigrid tutorial (step-37): polynomial degree,
-# ``smoothing_range`` (the interval is [lam_max/SMOOTHING_RANGE, lam_max]),
-# Lanczos steps of the largest-eigenvalue estimate and its safety factor.
+# in its matrix-free multigrid tutorial (step-37): polynomial degree and
+# ``smoothing_range`` (the interval is [lam_max/SMOOTHING_RANGE, lam_max]).
 # Every smoother uses them.  They are read when a function runs, not bound
 # as default values, so a test can patch them.
 CHEBYSHEV_DEGREE = 5
 SMOOTHING_RANGE = 15.0
-LANCZOS_STEPS = 10
-LANCZOS_SAFETY = 1.2
-_LANCZOS_SEED = 1789
 _NO_DOFS = np.empty(0, dtype=np.int64)
 
 
-def estimate_lambda_max(op, diag):
-    """Largest eigenvalue of diag^-1 op, estimated by ``LANCZOS_STEPS``
-    Lanczos steps on the symmetrized operator from a seeded random start,
-    scaled by ``LANCZOS_SAFETY``.  Each step applies ``op`` once and records
-    its Lanczos coefficient before it tests for breakdown, so the estimate
-    takes at most ``LANCZOS_STEPS`` applications and always exists."""
-    n = diag.size
-    if np.any(diag <= 0.0):
-        raise ValueError("diagonal must be strictly positive")
-    d_isqrt = 1.0 / np.sqrt(diag)
-
-    def bop(w):
-        return d_isqrt * op(d_isqrt * w)
-
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    v = rng.standard_normal(n)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise ValueError("empty start vector")
-    v /= nv
-    basis = [v]
-    alphas: list[float] = []
-    betas: list[float] = []
-    for step in range(1, LANCZOS_STEPS + 1):
-        w = bop(v)
-        alphas.append(float(v @ w))
-        if step == LANCZOS_STEPS:
-            break  # the next beta would lie outside the tridiagonal matrix
-        w = w - alphas[-1] * v
-        for u in basis:  # full reorthogonalization, the basis is short
-            w -= (u @ w) * u
-        beta = np.linalg.norm(w)
-        if beta <= 1e-12 * max(abs(a) for a in alphas):
-            break
-        betas.append(float(beta))
-        v = w / beta
-        basis.append(v)
-    tmat = np.diag(alphas)
-    for i, beta in enumerate(betas):
-        tmat[i, i + 1] = tmat[i + 1, i] = beta
-    lam = float(np.linalg.eigvalsh(tmat).max())
-    return LANCZOS_SAFETY * lam
-
-
 class MGLevel:
-    """A smoothed operator with its eigenvalue estimate ``lam_max``, the
-    inverse of its diagonal and three work vectors (residual ``r``, update
-    ``d``, product scratch ``t``), so that smoothing allocates nothing but
-    its result; as a V-cycle level, also its constrained indices and the
-    number of scalar components its vectors stack."""
+    """A smoothed operator with the upper end ``lam_max`` of its smoothing
+    interval, the inverse of its diagonal and three work vectors (residual
+    ``r``, update ``d``, product scratch ``t``), so that smoothing
+    allocates nothing but its result; as a V-cycle level, also its
+    constrained indices and the number of scalar components its vectors
+    stack."""
 
     def __init__(self, op, diag, lam_max: float, constrained=_NO_DOFS, components: int = 1):
+        if np.any(diag <= 0.0):
+            raise ValueError("diagonal must be strictly positive")
         self.op = op
         self.lam_max = lam_max
         self.constrained = constrained
@@ -199,10 +155,17 @@ def _level_operator(ctx: LevelOperatorContext, which: str):
 
 def smoother(ctx: LevelOperatorContext, which: str) -> MGLevel:
     """The Chebyshev smoother of one level's ``"A"`` or ``"Mp"`` operator:
-    its exact diagonal and Lanczos estimate."""
-    op, _, _, constrained, components = _level_operator(ctx, which)
-    diag = compute_diagonal(ctx, which)
-    return MGLevel(op, diag, estimate_lambda_max(op, diag), constrained, components)
+    its exact diagonal and ``lam_max = lambda_max(s K s)``, with K the
+    reference element matrix and s = diag(K)**-1/2.  Every cell matrix
+    is K times a positive cell scale, so x.A x <= lam_max x.D x cell by
+    cell and lam_max bounds the largest eigenvalue of D^-1 A for any
+    viscosity (Wathen 1987); for the Q1 mass matrix the constant vector
+    attains it.  The constrained identity rows add the eigenvalue 1,
+    which lies below the bound, since the eigenvalues of s K s average 1."""
+    op, element, _, constrained, components = _level_operator(ctx, which)
+    s = 1.0 / np.sqrt(np.diag(element))
+    lam_max = float(np.linalg.eigvalsh(s[:, None] * element * s).max())
+    return MGLevel(op, compute_diagonal(ctx, which), lam_max, constrained, components)
 
 
 def _hierarchy_levels(system: StokesSystem, which: str) -> list:

@@ -11,14 +11,12 @@ from gmgstokes.krylov import SolveControl, gmres
 from gmgstokes.mesh import build_hierarchy
 from gmgstokes.multigrid import (
     CHEBYSHEV_DEGREE,
-    LANCZOS_STEPS,
     SMOOTHING_RANGE,
     MGLevel,
     build_mass_multigrid,
     build_transfer_plan,
     build_velocity_multigrid,
     chebyshev_smooth,
-    estimate_lambda_max,
     prolongate,
     restrict,
 )
@@ -136,48 +134,49 @@ def test_q1_transfer_constants():
     assert np.abs(out - 1.0).max() < 1e-14
 
 
-def test_lambda_max_scaled_diagonal():
-    d = np.full(30, 3.0)
-    est = estimate_lambda_max(lambda v: 2.0 * d * v, d)
-    assert 2.0 <= est <= 2.4 + 1e-12
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lam_max_bounds_the_jacobi_scaled_spectrum(dim):
+    # the element-matrix bound lies above the largest eigenvalue of D^-1 A
+    # of the dense assembled level, constrained identity rows included, and
+    # equals that of D^-1 Mp, which the constant vector attains
+    mesh = build_hierarchy(dim, 3)
+    mu = random_viscosity(mesh, seed=40 + dim)
+    system = make_system(dim, 3, visc=mu)
+    for level in (1, 2):
+        ctx = system.contexts[level]
+        ld = oracle.level_dofs(ctx)
+        for which, mat in (
+            ("A", oracle.assemble_A(mesh, ld, level, mu[level], system.rule)),
+            ("Mp", oracle.assemble_Mp(mesh, ld, level, mu[level], system.rule)),
+        ):
+            s = 1.0 / np.sqrt(np.diag(mat))
+            true_lam = np.linalg.eigvalsh(s[:, None] * mat * s).max()
+            lam = multigrid.smoother(ctx, which).lam_max
+            if which == "A":
+                assert lam >= true_lam, (level, lam, true_lam)
+            else:
+                assert lam == pytest.approx(true_lam, rel=1e-12, abs=0.0), (level, lam, true_lam)
 
 
-def test_lambda_max_identity():
-    est = estimate_lambda_max(lambda v: v, np.ones(25))
-    assert 1.0 <= est <= 1.2 + 1e-12
+def test_lam_max_values_of_the_reference_matrices():
+    # the bound depends only on the element matrix: not on the level or the
+    # viscosity; Q1 mass gives 1.5**dim
+    expected = {(2, "A"): 1.868, (3, "A"): 2.021, (2, "Mp"): 2.25, (3, "Mp"): 3.375}
+    for dim in (2, 3):
+        mesh = build_hierarchy(dim, 3)
+        system = make_system(dim, 3, visc=random_viscosity(mesh, seed=dim))
+        for which in ("A", "Mp"):
+            lams = {multigrid.smoother(ctx, which).lam_max for ctx in system.contexts[1:]}
+            assert len(lams) == 1, (dim, which, lams)
+            assert lams.pop() == pytest.approx(expected[dim, which], abs=5e-4), (dim, which)
 
 
-def test_lambda_max_applies_the_operator_once_per_step():
-    # LANCZOS_STEPS applications on a spectrum of 40 distinct values, whose
-    # Krylov space does not break down early, and one on the identity,
-    # where step 1 breaks down
-    for values, expected in ((np.arange(1.0, 41.0), LANCZOS_STEPS), (np.ones(40), 1)):
-        calls = []
-
-        def op(v):
-            calls.append(1)
-            return values * v
-
-        estimate_lambda_max(op, np.ones(40))
-        assert len(calls) == expected, (values[-1], len(calls))
-
-
-def test_lambda_max_against_dense_eigendecomposition():
-    system = make_system(2, 2)
-    ctx = system.active
-    amat = oracle.assemble_A(
-        system.mesh, oracle.level_dofs(ctx), 1, np.ones(system.mesh.n_cells(1)), system.rule
-    )
-    diag = np.diag(amat)
-    true_lam = np.linalg.eigvalsh(np.diag(1 / np.sqrt(diag)) @ amat @ np.diag(1 / np.sqrt(diag))).max()
-    est = estimate_lambda_max(lambda u: apply_A(ctx, u), compute_diagonal_a(ctx))
-    assert true_lam <= est <= 1.1 * 1.2 * true_lam  # within 10% above, times safety
-
-
-def compute_diagonal_a(ctx):
-    from gmgstokes.operators import compute_diagonal
-
-    return compute_diagonal(ctx, "A")
+def test_mglevel_rejects_a_non_positive_diagonal():
+    for bad in (0.0, -1.0):
+        diag = np.ones(6)
+        diag[3] = bad
+        with pytest.raises(ValueError, match="strictly positive"):
+            MGLevel(lambda v: v, diag, 1.0)
 
 
 def test_chebyshev_fixed_point():

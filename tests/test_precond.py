@@ -100,7 +100,7 @@ def test_schur_cg_mass_converges_in_one_to_five_iterations():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_schur_smoother_built_like_the_finest_mass_level(dim):
     # the Schur mass-CG preconditioner is the mass hierarchy's finest
-    # smoother: same diagonal, same Lanczos estimate, bit for bit
+    # smoother: same diagonal, same eigenvalue bound, bit for bit
     system = make_system(dim, 3, visc=random_viscosity(build_hierarchy(dim, 3), seed=dim))
     got = StokesPreconditioner(system, shape="triangular", schur="cg").mp_smoother
     want = build_mass_multigrid(system).levels[-1]
