@@ -109,6 +109,7 @@ class RunRecord:
     peak_vector_count: int = 0
     inner_schur_iterations: int = 0
     inner_schur_failures: int = 0
+    inner_schur_iterations_per_application: dict = field(default_factory=dict)
     initial_residual: float = 0.0
     final_residual: float = 0.0
     true_final_residual: float = 0.0
@@ -148,6 +149,7 @@ MEMORY_COLUMNS = (
 JSON_ONLY = (
     "centers",
     "inner_schur_failures",
+    "inner_schur_iterations_per_application",
     "residual_history",
     "timings",
     "operator_calls",
@@ -270,6 +272,22 @@ def chebyshev_report(precond) -> dict:
     return out
 
 
+def inner_schur_report(counts: list) -> dict:
+    """Least, mean and most inner Schur CG iterations of one application;
+    all 0 when no application ran an inner CG (``vcycle``, ``diag``)."""
+    if not counts:
+        return {"min": 0, "mean": 0.0, "max": 0}
+    return {"min": min(counts), "mean": sum(counts) / len(counts), "max": max(counts)}
+
+
+def blas_report() -> dict:
+    """Name and version of the BLAS library numpy was built against."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def run_benchmark(cfg: RunConfig) -> RunRecord:
     """Build, solve, and record one sinker benchmark configuration."""
     import numpy as np
@@ -355,6 +373,7 @@ def run_benchmark(cfg: RunConfig) -> RunRecord:
     record.peak_vector_count = stats.peak_vector_count
     record.inner_schur_iterations = precond.inner_iterations
     record.inner_schur_failures = precond.inner_failures
+    record.inner_schur_iterations_per_application = inner_schur_report(precond.inner_counts)
     record.initial_residual = b_norm
     record.final_residual = float(stats.residual_history[-1]) if stats.residual_history else 0.0
     record.true_final_residual = true_res
@@ -380,7 +399,10 @@ def run_benchmark(cfg: RunConfig) -> RunRecord:
     record.coarse_cg_iters_max = {
         kind: mg.coarse_iters_max for kind, mg in hierarchies.items() if mg is not None
     }
-    record.environment = {"threads": {var: os.environ.get(var) for var in THREAD_VARS}}
+    record.environment = {
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "blas": blas_report(),
+    }
     return record
 
 

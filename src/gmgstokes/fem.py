@@ -11,6 +11,7 @@ n_scalar`` entries) followed by the pressure ``p`` (``n_p`` entries).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +62,11 @@ def _axis_product(factors) -> np.ndarray:
 # Quadrature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Tensor-product Gauss-Legendre rule on the reference cell [0,1]^dim."""
+    """Tensor-product Gauss-Legendre rule on the reference cell [0,1]^dim.
+    A rule hashes and compares by identity, so the tables built from it
+    are cached per rule object."""
 
     points: np.ndarray  # (n_q, dim)
     weights: np.ndarray  # (n_q,)
@@ -73,15 +76,20 @@ class QuadratureRule:
         return self.weights.size
 
 
+@functools.cache
 def make_gauss_rule(points_per_axis: int, dim: int) -> QuadratureRule:
-    """Gauss rule exact for per-axis polynomial degree <= 2*points_per_axis - 1."""
+    """Gauss rule exact for per-axis polynomial degree <= 2*points_per_axis - 1;
+    one read-only rule per process for each argument pair."""
     if points_per_axis < 1:
         raise ValueError("points_per_axis must be >= 1")
     xi, wi = np.polynomial.legendre.leggauss(points_per_axis)
     x1 = 0.5 * (xi + 1.0)
     w1 = 0.5 * wi
     lat = lattice(points_per_axis, dim)
-    return QuadratureRule(points=x1[lat], weights=_axis_product(w1[lat].T))
+    rule = QuadratureRule(points=x1[lat], weights=_axis_product(w1[lat].T))
+    for table in (rule.points, rule.weights):
+        table.setflags(write=False)
+    return rule
 
 
 @dataclass(frozen=True)
@@ -92,15 +100,10 @@ class BasisTables:
     grads: np.ndarray  # (n_q, n_loc, dim)
 
 
-_TABLE_CACHE: dict[tuple, BasisTables] = {}
-
-
+@functools.cache
 def tabulate(degree: int, dim: int, rule: QuadratureRule) -> BasisTables:
     """Q1/Q2 shape values and reference gradients at the rule's points, as
-    products of the 1D factors over the axes; cached per rule."""
-    key = (degree, dim, rule.points.tobytes())
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
+    products of the 1D factors over the axes; built once per rule, read-only."""
     # per-axis factors of every local function at every point, each (n_q, n_loc);
     # take keeps them C-ordered, as BLAS sums an F-ordered table in another order
     lat = lattice(degree + 1, dim).T
@@ -112,7 +115,8 @@ def tabulate(degree: int, dim: int, rule: QuadratureRule) -> BasisTables:
         axis=-1,
     )
     tables = BasisTables(values=_axis_product(vals), grads=grads)
-    _TABLE_CACHE[key] = tables
+    for table in (tables.values, tables.grads):
+        table.setflags(write=False)
     return tables
 
 

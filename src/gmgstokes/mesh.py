@@ -9,16 +9,21 @@ is the active mesh.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 
+@functools.cache
 def lattice(m: int, dim: int) -> np.ndarray:
     """Digits of the points of the m**dim lattice in lexicographic order
-    with x fastest: row k holds (k % m, (k // m) % m, ...), shape (m**dim, dim)."""
+    with x fastest: row k holds (k % m, (k // m) % m, ...), shape (m**dim, dim).
+    Built once per process and read-only, as every caller shares it."""
     k = np.arange(m**dim)
-    return np.stack([(k // m**a) % m for a in range(dim)], axis=1)
+    out = np.stack([(k // m**a) % m for a in range(dim)], axis=1)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)

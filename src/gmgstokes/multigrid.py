@@ -22,6 +22,7 @@ that inverse, which converges in one iteration.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,16 +156,13 @@ def _level_operator(ctx: LevelOperatorContext, which: str):
 
 def smoother(ctx: LevelOperatorContext, which: str) -> MGLevel:
     """The Chebyshev smoother of one level's ``"A"`` or ``"Mp"`` operator:
-    its exact diagonal and ``lam_max = lambda_max(s K s)``, with K the
-    reference element matrix and s = diag(K)**-1/2.  Every cell matrix
-    is K times a positive cell scale, so x.A x <= lam_max x.D x cell by
-    cell and lam_max bounds the largest eigenvalue of D^-1 A for any
-    viscosity (Wathen 1987); for the Q1 mass matrix the constant vector
-    attains it.  The constrained identity rows add the eigenvalue 1,
-    which lies below the bound, since the eigenvalues of s K s average 1."""
-    op, element, _, constrained, components = _level_operator(ctx, which)
-    s = 1.0 / np.sqrt(np.diag(element))
-    lam_max = float(np.linalg.eigvalsh(s[:, None] * element * s).max())
+    its exact diagonal and, as ``lam_max``, the Jacobi-scaled bound of its
+    reference element matrix (``ElementMatrices.lam_A``/``lam_Mp``), which
+    caps the largest eigenvalue of D^-1 A for any viscosity.  The
+    constrained identity rows add the eigenvalue 1, which lies below the
+    bound, since the eigenvalues of s K s average 1."""
+    op, _, _, constrained, components = _level_operator(ctx, which)
+    lam_max = ctx.elements.lam_A if which == "A" else ctx.elements.lam_Mp
     return MGLevel(op, compute_diagonal(ctx, which), lam_max, constrained, components)
 
 
@@ -193,21 +191,25 @@ class TransferPlan:
     matrices: list
 
 
-def build_transfer_plan(mesh: MeshHierarchy, degree: int) -> TransferPlan:
-    """Coarse 1D Lagrange basis values at the fine nodes.  Fine node i has
-    local coordinate i/2k - cell in its coarse cell, a fraction exact in
-    binary, so the basis zeros are exact."""
-    k = degree
+@functools.cache
+def _embedding(k: int, nc: int) -> np.ndarray:
+    """The degree-k 1D embedding of nc coarse cells, built once per process
+    and read-only: coarse 1D Lagrange basis values at the fine nodes.  Fine
+    node i has local coordinate i/2k - cell in its coarse cell, a fraction
+    exact in binary, so the basis zeros are exact."""
     basis = lagrange_1d(k, np.arange(2 * k + 1) / (2 * k))[0]  # at each local coordinate
-    matrices: list = [None]
-    for level in range(1, mesh.n_levels):
-        nc = mesh.cells_per_axis(level - 1)
-        fine = np.arange(2 * k * nc + 1)
-        cell = np.minimum(fine // (2 * k), nc - 1)
-        mat = np.zeros((fine.size, k * nc + 1))
-        mat[fine[:, None], k * cell[:, None] + np.arange(k + 1)] = basis[fine - 2 * k * cell]
-        matrices.append(mat)
-    return TransferPlan(dim=mesh.dim, matrices=matrices)
+    fine = np.arange(2 * k * nc + 1)
+    cell = np.minimum(fine // (2 * k), nc - 1)
+    mat = np.zeros((fine.size, k * nc + 1))
+    mat[fine[:, None], k * cell[:, None] + np.arange(k + 1)] = basis[fine - 2 * k * cell]
+    mat.setflags(write=False)
+    return mat
+
+
+def build_transfer_plan(mesh: MeshHierarchy, degree: int) -> TransferPlan:
+    """The 1D embedding of every level above the coarsest."""
+    coarse = (mesh.cells_per_axis(level - 1) for level in range(1, mesh.n_levels))
+    return TransferPlan(dim=mesh.dim, matrices=[None] + [_embedding(degree, nc) for nc in coarse])
 
 
 def _per_axis(plan: TransferPlan, x, mat: np.ndarray) -> np.ndarray:

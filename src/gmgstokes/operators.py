@@ -17,8 +17,9 @@ through one cell->dof map of ``fem.distribute_dofs`` (``u_map`` takes
 all velocity components at once, ``p_map`` the pressure), multiplies the
 (n_cells, n_loc) block by the element matrix in one GEMM, scales each
 cell row, and scatter-adds with one ``np.bincount``.  The element
-matrices are built once per dimension and quadrature rule from the
-tabulated reference bases.
+matrices and their Jacobi-scaled eigenvalue bounds are built once per
+process for each dimension and quadrature rule, from the tabulated
+reference bases.
 
 Dirichlet-constrained velocity rows and columns act as the identity.
 Inputs are zeroed on the constrained set before the gather and the
@@ -28,6 +29,7 @@ keeps each block symmetric on the unconstrained subspace.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,26 +41,33 @@ from .viscosity import SinkerConfig, forcing
 
 @dataclass(frozen=True)
 class ElementMatrices:
-    """Reference element matrices of the unit cube with mu = 1.  Velocity
-    rows and columns are ordered component-major, (a, i) -> a*n_loc + i,
-    matching :attr:`LevelOperatorContext.u_map`."""
+    """Reference element matrices of the unit cube with mu = 1, and the
+    Jacobi-scaled bounds ``lambda_max(s K s)``, s = diag(K)**-1/2, of the
+    two that multigrid smooths.  Every cell matrix is K times a positive
+    cell scale, so x.A x <= lam x.D x cell by cell and the bound caps the
+    largest eigenvalue of D^-1 A on any level for any viscosity (Wathen
+    1987); for the Q1 mass matrix the constant vector attains it.
+    Velocity rows and columns are ordered component-major, (a, i) ->
+    a*n_loc + i, matching :attr:`LevelOperatorContext.u_map`."""
 
     A: np.ndarray  # (dim*L2, dim*L2) fully coupled strain-rate form
     B: np.ndarray  # (L1, dim*L2) divergence, -int (div v) q
     Mp: np.ndarray  # (L1, L1) pressure mass
+    lam_A: float
+    lam_Mp: float
 
     @property
     def nbytes(self) -> int:
         return self.A.nbytes + self.B.nbytes + self.Mp.nbytes
 
 
-_ELEMENT_CACHE: dict[tuple, ElementMatrices] = {}
+def _jacobi_bound(k: np.ndarray) -> float:
+    s = 1.0 / np.sqrt(np.diag(k))
+    return float(np.linalg.eigvalsh(s[:, None] * k * s).max())
 
 
+@functools.cache
 def _element_matrices(dim: int, rule: QuadratureRule) -> ElementMatrices:
-    key = (dim, rule.points.tobytes(), rule.weights.tobytes())
-    if key in _ELEMENT_CACHE:
-        return _ELEMENT_CACHE[key]
     w = rule.weights
     g = tabulate(2, dim, rule).grads  # (n_q, L2, dim)
     v1 = tabulate(1, dim, rule).values  # (n_q, L1)
@@ -73,8 +82,7 @@ def _element_matrices(dim: int, rule: QuadratureRule) -> ElementMatrices:
     ka, km = (0.5 * (m + m.T) for m in (ka.reshape(n, n), km))
     for m in (ka, kb, km):
         m.setflags(write=False)
-    out = _ELEMENT_CACHE[key] = ElementMatrices(A=ka, B=kb, Mp=km)
-    return out
+    return ElementMatrices(A=ka, B=kb, Mp=km, lam_A=_jacobi_bound(ka), lam_Mp=_jacobi_bound(km))
 
 
 @dataclass
@@ -89,6 +97,10 @@ class LevelOperatorContext:
     mu: np.ndarray  # one averaged viscosity per cell
     rule: QuadratureRule
     elements: ElementMatrices
+    # the index arrays are built per run and stay writeable: numpy's take
+    # and bincount copy a read-only index array on every call, which on 3D
+    # L4 made take 0.39 -> 0.71 ms and bincount 0.78 -> 0.96 ms, each with
+    # 2.65 MB more allocated
     u_map: np.ndarray  # (n_cells, dim*L2) velocity indices, component-major
     p_map: np.ndarray  # (n_cells, L1) pressure indices
     u_constrained: np.ndarray  # velocity indices treated as identity rows
@@ -100,6 +112,12 @@ class LevelOperatorContext:
     # pressure mass matrix, h**dim / mu_c
     a_scale: np.ndarray = field(init=False, repr=False)
     mp_scale: np.ndarray = field(init=False, repr=False)
+    # views that every application would otherwise make again: the flat
+    # maps the scatters index with and the scales as (n_cells, 1) columns
+    u_flat: np.ndarray = field(init=False, repr=False)
+    p_flat: np.ndarray = field(init=False, repr=False)
+    a_col: np.ndarray = field(init=False, repr=False)
+    mp_col: np.ndarray = field(init=False, repr=False)
     # scratch reused by every velocity application, so that a call
     # allocates only its result (fresh large arrays cost page faults):
     # masked input, gathered and local blocks.  One context therefore
@@ -114,6 +132,8 @@ class LevelOperatorContext:
         self.n_p = (n + 1) ** self.dim
         self.a_scale = self.mu * self.h ** (self.dim - 2)
         self.mp_scale = self.h**self.dim / self.mu
+        self.u_flat, self.p_flat = self.u_map.ravel(), self.p_map.ravel()
+        self.a_col, self.mp_col = self.a_scale[:, None], self.mp_scale[:, None]
         self.work = (np.empty(self.n_u), np.empty(self.u_map.shape), np.empty(self.u_map.shape))
 
     def count(self, name: str) -> None:
@@ -141,8 +161,8 @@ def make_level_context(
     )
 
 
-def _scatter(idx: np.ndarray, local: np.ndarray, n: int) -> np.ndarray:
-    return np.bincount(idx.ravel(), weights=local.ravel(), minlength=n)
+def _scatter(flat_idx: np.ndarray, local: np.ndarray, n: int) -> np.ndarray:
+    return np.bincount(flat_idx, weights=local.ravel(), minlength=n)
 
 
 def _check_length(x: np.ndarray, n: int, what: str) -> None:
@@ -158,7 +178,7 @@ def _gather_velocity(ctx: LevelOperatorContext, u: np.ndarray) -> np.ndarray:
     np.copyto(um, u)
     um[ctx.u_constrained] = 0.0
     # every index is in range; "clip" lets take write into ``out`` unbuffered
-    return np.take(um, ctx.u_map, out=cells, mode="clip")
+    return um.take(ctx.u_map, out=cells, mode="clip")
 
 
 def apply_A(ctx: LevelOperatorContext, u: np.ndarray) -> np.ndarray:
@@ -167,8 +187,8 @@ def apply_A(ctx: LevelOperatorContext, u: np.ndarray) -> np.ndarray:
     mu_c h**(dim-2) per cell, one scatter; constrained rows act as the
     identity."""
     local = np.matmul(_gather_velocity(ctx, u), ctx.elements.A, out=ctx.work[2])
-    local *= ctx.a_scale[:, None]
-    out = _scatter(ctx.u_map, local, ctx.n_u)
+    local *= ctx.a_col
+    out = _scatter(ctx.u_flat, local, ctx.n_u)
     out[ctx.u_constrained] = u[ctx.u_constrained]
     ctx.count("apply_A")
     return out
@@ -178,16 +198,16 @@ def apply_B(ctx: LevelOperatorContext, u: np.ndarray) -> np.ndarray:
     """Divergence block: (B u)_i = -int (div u_h) phi^p_i."""
     local = _gather_velocity(ctx, u) @ ctx.elements.B.T
     local *= ctx.h ** (ctx.dim - 1)
-    return _scatter(ctx.p_map, local, ctx.n_p)
+    return _scatter(ctx.p_flat, local, ctx.n_p)
 
 
 def apply_Bt(ctx: LevelOperatorContext, p: np.ndarray) -> np.ndarray:
     """Transpose of the divergence block; constrained rows are zeroed so
     that <B u, p> == <u, B^T p> with the masked B."""
     _check_length(p, ctx.n_p, "pressure")
-    local = np.matmul(np.take(p, ctx.p_map), ctx.elements.B, out=ctx.work[2])
+    local = np.matmul(p.take(ctx.p_map), ctx.elements.B, out=ctx.work[2])
     local *= ctx.h ** (ctx.dim - 1)
-    out = _scatter(ctx.u_map, local, ctx.n_u)
+    out = _scatter(ctx.u_flat, local, ctx.n_u)
     out[ctx.u_constrained] = 0.0
     return out
 
@@ -195,10 +215,10 @@ def apply_Bt(ctx: LevelOperatorContext, p: np.ndarray) -> np.ndarray:
 def apply_Mp(ctx: LevelOperatorContext, p: np.ndarray) -> np.ndarray:
     """Viscosity-weighted pressure mass matrix: int (1/mu) phi^p_i phi^p_j."""
     _check_length(p, ctx.n_p, "pressure")
-    local = np.take(p, ctx.p_map) @ ctx.elements.Mp
-    local *= ctx.mp_scale[:, None]
+    local = p.take(ctx.p_map) @ ctx.elements.Mp
+    local *= ctx.mp_col
     ctx.count("apply_Mp")
-    return _scatter(ctx.p_map, local, ctx.n_p)
+    return _scatter(ctx.p_flat, local, ctx.n_p)
 
 
 def assemble_rhs(ctx: LevelOperatorContext, cfg: SinkerConfig) -> np.ndarray:
@@ -212,7 +232,7 @@ def assemble_rhs(ctx: LevelOperatorContext, cfg: SinkerConfig) -> np.ndarray:
     local = (fv.transpose(0, 2, 1) @ q2.values).reshape(ctx.n_cells, -1)  # (nc, dim*L2)
     local *= ctx.h**ctx.dim
     # the velocity indices lie below n_u, so the pressure part stays zero
-    out = _scatter(ctx.u_map, local, ctx.n_u + ctx.n_p)
+    out = _scatter(ctx.u_flat, local, ctx.n_u + ctx.n_p)
     out[ctx.u_constrained] = 0.0
     return out
 
@@ -222,12 +242,12 @@ def compute_diagonal(ctx: LevelOperatorContext, which: str) -> np.ndarray:
     matrix diagonal, scattered.  Constrained entries of A are set to 1."""
     if which == "A":
         local = np.outer(ctx.a_scale, np.diag(ctx.elements.A))
-        out = _scatter(ctx.u_map, local, ctx.n_u)
+        out = _scatter(ctx.u_flat, local, ctx.n_u)
         out[ctx.u_constrained] = 1.0
         return out
     if which == "Mp":
         local = np.outer(ctx.mp_scale, np.diag(ctx.elements.Mp))
-        return _scatter(ctx.p_map, local, ctx.n_p)
+        return _scatter(ctx.p_flat, local, ctx.n_p)
     raise ValueError(f"unknown operator {which!r}, expected 'A' or 'Mp'")
 
 

@@ -115,6 +115,33 @@ def test_run_record_reports_no_inner_schur_failures_on_a_normal_run(schema):
     assert "inner_schur_failures" not in CSV_COLUMNS
 
 
+@pytest.mark.parametrize("schur", ["cg", "vcycle", "diag"])
+def test_run_record_reports_inner_schur_iterations_per_application(schema, schur):
+    solver = "fgmres" if schur == "cg" else "gmres"
+    rec = run_benchmark(small_cfg(schur=schur, solver=solver))
+    data = json.loads(json.dumps(rec.to_dict()))
+    jsonschema.validate(data, schema)
+    per = data["inner_schur_iterations_per_application"]
+    if schur == "cg":
+        # one Schur application per preconditioner application
+        assert per["min"] <= per["mean"] <= per["max"] <= 3
+        assert per["max"] > 0
+        mean = data["inner_schur_iterations"] / data["precond_applications"]
+        assert per["mean"] == pytest.approx(mean, rel=1e-15)
+    else:
+        assert per == {"min": 0, "mean": 0.0, "max": 0}
+    assert "inner_schur_iterations_per_application" not in CSV_COLUMNS
+
+
+def test_run_record_reports_the_blas_library(schema):
+    rec = run_benchmark(small_cfg())
+    data = json.loads(json.dumps(rec.to_dict()))
+    jsonschema.validate(data, schema)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert data["environment"]["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert "environment" not in CSV_COLUMNS
+
+
 def test_run_record_reports_forced_inner_schur_failures(schema, monkeypatch):
     from gmgstokes import precond
 
