@@ -273,19 +273,13 @@ def chebyshev_report(precond) -> dict:
 
 
 def inner_schur_report(counts: list) -> dict:
-    """Least, mean and most inner Schur CG iterations of one application;
-    all 0 when no application ran an inner CG (``vcycle``, ``diag``)."""
+    """Least, mean and most inner Schur CG iterations of one application,
+    over the applications that ran an inner CG (a zero pressure residual,
+    as in the first application of a zero-pressure load, runs none); all 0
+    when none did (``vcycle``, ``diag``)."""
     if not counts:
         return {"min": 0, "mean": 0.0, "max": 0}
     return {"min": min(counts), "mean": sum(counts) / len(counts), "max": max(counts)}
-
-
-def blas_report() -> dict:
-    """Name and version of the BLAS library numpy was built against."""
-    import numpy as np
-
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"name": blas.get("name"), "version": blas.get("version")}
 
 
 def run_benchmark(cfg: RunConfig) -> RunRecord:
@@ -371,7 +365,7 @@ def run_benchmark(cfg: RunConfig) -> RunRecord:
     record.precond_applications = stats.precond_applications
     record.matvec_count = stats.matvec_count
     record.peak_vector_count = stats.peak_vector_count
-    record.inner_schur_iterations = precond.inner_iterations
+    record.inner_schur_iterations = sum(precond.inner_counts)
     record.inner_schur_failures = precond.inner_failures
     record.inner_schur_iterations_per_application = inner_schur_report(precond.inner_counts)
     record.initial_residual = b_norm
@@ -399,9 +393,11 @@ def run_benchmark(cfg: RunConfig) -> RunRecord:
     record.coarse_cg_iters_max = {
         kind: mg.coarse_iters_max for kind, mg in hierarchies.items() if mg is not None
     }
+    # the BLAS library numpy was built against
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     record.environment = {
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
-        "blas": blas_report(),
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
     }
     return record
 

@@ -97,10 +97,8 @@ class LevelOperatorContext:
     mu: np.ndarray  # one averaged viscosity per cell
     rule: QuadratureRule
     elements: ElementMatrices
-    # the index arrays are built per run and stay writeable: numpy's take
-    # and bincount copy a read-only index array on every call, which on 3D
-    # L4 made take 0.39 -> 0.71 ms and bincount 0.78 -> 0.96 ms, each with
-    # 2.65 MB more allocated
+    # built per run and writeable, not cached: numpy's take and bincount
+    # copy a read-only index array on every call
     u_map: np.ndarray  # (n_cells, dim*L2) velocity indices, component-major
     p_map: np.ndarray  # (n_cells, L1) pressure indices
     u_constrained: np.ndarray  # velocity indices treated as identity rows

@@ -41,7 +41,8 @@ class StokesPreconditioner:
         self.system = system
         self.shape = shape
         self.schur = schur
-        self.inner_counts: list[int] = []  # CG iterations of each Schur application
+        # inner CG iterations of each Schur application that ran one
+        self.inner_counts: list[int] = []
         self.inner_failures = 0
         ctx = system.active
 
@@ -56,11 +57,6 @@ class StokesPreconditioner:
             raise ValueError(f"unknown schur {schur!r}")
         self.velocity_mg = build_velocity_multigrid(system)
 
-    @property
-    def inner_iterations(self) -> int:
-        """Inner Schur CG iterations over every application so far."""
-        return sum(self.inner_counts)
-
     def schur_apply(self, r_p: np.ndarray) -> np.ndarray:
         """Approximate application of S^-1 to a pressure residual."""
         if self.schur == "diag":
@@ -69,7 +65,8 @@ class StokesPreconditioner:
             return self.mass_mg.vcycle(r_p)
         control = krylov.SolveControl(reduction_target=SCHUR_CG_TOL, max_iters=SCHUR_CG_MAX_ITERS)
         x, stats = self.mp_smoother.cg(r_p, control)
-        self.inner_counts.append(stats.iterations)
+        if stats.iterations:  # a zero residual, as in a first application, runs no CG
+            self.inner_counts.append(stats.iterations)
         if not stats.converged:
             self.inner_failures += 1
         return x
