@@ -251,24 +251,23 @@ def memory_report(system, precond, peak: int) -> dict:
 def chebyshev_report(precond) -> dict:
     """The polynomial degree shared by every Chebyshev smoother in the
     preconditioner, and each smoother's element-matrix eigenvalue bound
-    ``lam_max`` and smoothing interval: levels 1..L of the velocity
-    hierarchy and, when built, of the mass hierarchy (coarsest first; level
-    0 is solved exactly and has no smoother), and the Schur mass-CG
-    preconditioner when it is used."""
+    ``lam_max`` and smoothing interval, all as the levels fixed them when
+    built: levels 1..L of the velocity hierarchy and, when built, of the
+    mass hierarchy (coarsest first; level 0 is solved exactly and has no
+    smoother), and the Schur mass-CG preconditioner when it is used."""
 
-    from .multigrid import CHEBYSHEV_DEGREE, SMOOTHING_RANGE
+    def entry(lv):
+        return {"lam_max": lv.lam_max, "interval": list(lv.interval)}
 
-    def entry(lam):
-        return {"lam_max": lam, "interval": [lam / SMOOTHING_RANGE, lam]}
-
-    out = {
-        "degree": CHEBYSHEV_DEGREE,
-        "velocity": [entry(lv.lam_max) for lv in precond.velocity_mg.levels[1:]],
-    }
-    if precond.mass_mg is not None:
-        out["mass"] = [entry(lv.lam_max) for lv in precond.mass_mg.levels[1:]]
-    if precond.schur == "cg":
-        out["schur_mass_cg"] = entry(precond.mp_smoother.lam_max)
+    velocity = precond.velocity_mg.levels[1:]
+    mass = precond.mass_mg.levels[1:] if precond.mass_mg is not None else []
+    schur = [precond.mp_smoother] if precond.schur == "cg" else []
+    (degree,) = {lv.degree for lv in velocity + mass + schur}
+    out = {"degree": degree, "velocity": [entry(lv) for lv in velocity]}
+    if mass:
+        out["mass"] = [entry(lv) for lv in mass]
+    if schur:
+        out["schur_mass_cg"] = entry(*schur)
     return out
 
 
@@ -323,7 +322,6 @@ def run_benchmark(cfg: RunConfig) -> RunRecord:
     record.n_u, record.n_p, record.n_dofs = system.n_u, system.n_p, system.n_dofs
 
     t2 = time.perf_counter()
-    counters_before = [dict(c.counters) for c in system.contexts]
     control = krylov.SolveControl(
         reduction_target=cfg.reduction, max_iters=cfg.max_iters, restart_length=cfg.restart
     )
@@ -335,11 +333,10 @@ def run_benchmark(cfg: RunConfig) -> RunRecord:
         x, stats = krylov.idr_s(system.apply_flat, precond.apply, b, cfg.idr_s, control)
     t_solve = time.perf_counter() - t2
 
-    # operator applications per level during the solve, taken before the
-    # true-residual check applies the operator again
+    # operator applications per level during the solve (set-up applies no
+    # operator), taken before the true-residual check applies it again
     record.operator_calls = [
-        {op: ctx.counters.get(op, 0) - before.get(op, 0) for op in ("apply_A", "apply_Mp")}
-        for ctx, before in zip(system.contexts, counters_before)
+        {op: ctx.counters.get(op, 0) for op in ("apply_A", "apply_Mp")} for ctx in system.contexts
     ]
     # flop model for the viscous-block work inside the V-cycles: every
     # apply_A of the solve except the outer operator's, one per matvec on

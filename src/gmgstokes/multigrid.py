@@ -9,15 +9,15 @@ transpose.  A fine boundary node gets exactly zero weight from every
 coarse interior node, so the V-cycle masks only restricted residuals.
 The smoother is the degree-k Chebyshev polynomial, k =
 ``CHEBYSHEV_DEGREE``, in the Jacobi-preconditioned operator on
-[lam_max/SMOOTHING_RANGE, lam_max], with lam_max the largest eigenvalue
-of the Jacobi-scaled reference element matrix, an upper bound of the
-level's spectrum for any viscosity.  The V-cycle smooths only
-after the coarse correction, V(0,k), so a level costs k operator
-applications; it is linear but not symmetric, so it serves GMRES-type
-methods, not CG.  The coarsest level is the single root cell and is
-never smoothed: its inverse is built once from the scaled reference
-element matrix, and each coarse solve is a CG run preconditioned by
-that inverse, which converges in one iteration.
+[lam_max/SMOOTHING_RANGE, lam_max], fixed when each level is built;
+lam_max is the largest eigenvalue of the Jacobi-scaled reference element
+matrix, an upper bound of the level's spectrum for any viscosity.  The
+V-cycle smooths only after the coarse correction, V(0,k), so a level
+costs k operator applications; it is linear but not symmetric, so it
+serves GMRES-type methods, not CG.  The coarsest level is the single
+root cell and is never smoothed: its inverse is built once from the
+scaled reference element matrix, and each coarse solve is a CG run
+preconditioned by that inverse, which converges in one iteration.
 """
 
 from __future__ import annotations
@@ -36,26 +36,37 @@ from .operators import LevelOperatorContext, StokesSystem, apply_A, apply_Mp, co
 # Chebyshev smoother settings, those of deal.II's ``PreconditionChebyshev``
 # in its matrix-free multigrid tutorial (step-37): polynomial degree and
 # ``smoothing_range`` (the interval is [lam_max/SMOOTHING_RANGE, lam_max]).
-# Every smoother uses them.  They are read when a function runs, not bound
-# as default values, so a test can patch them.
+# Every smoother uses them.  They are read when an ``MGLevel`` is built, so
+# a test that patches them must do so before it builds the hierarchy.
 CHEBYSHEV_DEGREE = 5
 SMOOTHING_RANGE = 15.0
 _NO_DOFS = np.empty(0, dtype=np.int64)
 
 
 class MGLevel:
-    """A smoothed operator with the upper end ``lam_max`` of its smoothing
-    interval, the inverse of its diagonal and three work vectors (residual
-    ``r``, update ``d``, product scratch ``t``), so that smoothing
-    allocates nothing but its result; as a V-cycle level, also its
-    constrained indices and the number of scalar components its vectors
-    stack."""
+    """A smoothed operator with its Chebyshev polynomial, fixed when the
+    level is built (``degree``, ``interval``, its midpoint ``theta`` and the
+    (keep, gain) ``steps`` of :func:`chebyshev_smooth`), the inverse of its
+    diagonal and three work vectors (residual ``r``, update ``d``, product
+    scratch ``t``), so that smoothing allocates nothing but its result; as
+    a V-cycle level, also its constrained indices and component count."""
 
     def __init__(self, op, diag, lam_max: float, constrained=_NO_DOFS, components: int = 1):
         if np.any(diag <= 0.0):
             raise ValueError("diagonal must be strictly positive")
         self.op = op
         self.lam_max = lam_max
+        self.degree = CHEBYSHEV_DEGREE
+        low = lam_max / SMOOTHING_RANGE
+        self.interval = (low, lam_max)
+        self.theta = 0.5 * (lam_max + low)
+        delta = 0.5 * (lam_max - low)
+        sigma = self.theta / delta
+        rho, self.steps = 1.0 / sigma, []
+        for _ in range(self.degree - 1):
+            rho_new = 1.0 / (2.0 * sigma - rho)
+            self.steps.append((rho_new * rho, 2.0 * rho_new / delta))
+            rho = rho_new
         self.constrained = constrained
         self.components = components
         self.inv_diag = 1.0 / diag
@@ -73,40 +84,32 @@ class MGLevel:
 
 def chebyshev_smooth(level: MGLevel, b, x0=None):
     """Fixed Chebyshev polynomial iteration on the Jacobi-preconditioned
-    level operator over the interval [lam_max/SMOOTHING_RANGE, lam_max].
+    level operator, with the polynomial the level fixed when it was built.
 
-    The error propagator is the degree-``CHEBYSHEV_DEGREE`` shifted Chebyshev
-    polynomial, so the map (b, x0) -> x is linear and, for symmetric op
-    and x0 = 0, a symmetric positive definite preconditioner.  The
-    residual and update live in the level's buffers; ``b`` and ``x0`` are
-    only read, and the returned x is a new array.
+    The error propagator is the shifted Chebyshev polynomial of the level's
+    degree on its interval, so the map (b, x0) -> x is linear and, for
+    symmetric op and x0 = 0, a symmetric positive definite preconditioner.
+    The residual and update live in the level's buffers; ``b`` and ``x0``
+    are only read, and the returned x is a new array.
     """
-    op, lam_max = level.op, level.lam_max
-    inv_d, r, d, t = level.inv_diag, level.r, level.d, level.t
-    low = lam_max / SMOOTHING_RANGE
-    theta = 0.5 * (lam_max + low)
-    delta = 0.5 * (lam_max - low)
+    op, inv_d, r, d, t = level.op, level.inv_diag, level.r, level.d, level.t
     if x0 is None:
         np.copyto(r, b)
         x = np.zeros_like(b)
     else:
         np.subtract(b, op(x0), out=r)
         x = x0.copy()
-    sigma = theta / delta
-    rho = 1.0 / sigma
     np.multiply(inv_d, r, out=d)
-    d /= theta
+    d /= level.theta
     x += d
-    for _ in range(CHEBYSHEV_DEGREE - 1):
+    for keep, gain in level.steps:
         r -= op(d)
-        rho_new = 1.0 / (2.0 * sigma - rho)
-        # d = (rho_new * rho) * d + (2 * rho_new / delta) * (inv_d * r)
-        d *= rho_new * rho
+        # d = keep * d + gain * (inv_d * r)
+        d *= keep
         np.multiply(inv_d, r, out=t)
-        t *= 2.0 * rho_new / delta
+        t *= gain
         d += t
         x += d
-        rho = rho_new
     return x
 
 

@@ -6,6 +6,7 @@ import pytest
 import oracle
 from conftest import constant_viscosity, make_system, random_viscosity
 from gmgstokes import multigrid
+from gmgstokes.bench import chebyshev_report
 from gmgstokes.fem import distribute_dofs, make_gauss_rule
 from gmgstokes.krylov import SolveControl, gmres
 from gmgstokes.mesh import build_hierarchy
@@ -21,6 +22,7 @@ from gmgstokes.multigrid import (
     restrict,
 )
 from gmgstokes.operators import apply_A, apply_Mp, compute_diagonal
+from gmgstokes.precond import StokesPreconditioner
 from gmgstokes.viscosity import average_active_viscosity, restrict_viscosity, sinker_config
 
 
@@ -238,6 +240,39 @@ def test_chebyshev_buffers_bit_identical_to_reference(dim):
                     lv.op, diag, b, lv.lam_max, CHEBYSHEV_DEGREE, SMOOTHING_RANGE, x0=x0
                 )
                 assert np.array_equal(got, want), (dim, kind, level, x0 is None)
+
+
+def test_smoothers_fix_their_polynomial_when_built(monkeypatch):
+    # each level fixes its degree and interval when it is built: patching
+    # the module constants afterwards leaves built levels bit for bit as
+    # they were, a level built after the patch carries the patched values,
+    # and the run record's report follows the levels, not the constants
+    mesh = build_hierarchy(2, 3)
+    system = make_system(2, 3, visc=random_viscosity(mesh, seed=7))
+    rng = np.random.default_rng(7)
+    built = [build_velocity_multigrid(system).levels[-1], build_mass_multigrid(system).levels[-1]]
+    rhs = [rng.standard_normal(lv.inv_diag.size) for lv in built]
+    before = [chebyshev_smooth(lv, b) for lv, b in zip(built, rhs)]
+    monkeypatch.setattr(multigrid, "SMOOTHING_RANGE", 4.0)
+    monkeypatch.setattr(multigrid, "CHEBYSHEV_DEGREE", 3)
+    for lv, b, want in zip(built, rhs, before):
+        assert lv.degree == CHEBYSHEV_DEGREE
+        assert lv.interval == (lv.lam_max / SMOOTHING_RANGE, lv.lam_max)
+        assert np.array_equal(chebyshev_smooth(lv, b), want)
+    builders = ((build_velocity_multigrid, "A"), (build_mass_multigrid, "Mp"))
+    for (build, kind), b in zip(builders, rhs):
+        lv = build(system).levels[-1]
+        assert lv.degree == 3 and len(lv.steps) == 2
+        assert lv.interval == (lv.lam_max / 4.0, lv.lam_max)
+        diag = compute_diagonal(system.active, kind)
+        want = oracle.chebyshev_smooth_reference(lv.op, diag, b, lv.lam_max, 3, 4.0)
+        assert np.array_equal(chebyshev_smooth(lv, b), want), kind
+    for schur in ("cg", "vcycle"):
+        cheb = chebyshev_report(StokesPreconditioner(system, shape="triangular", schur=schur))
+        assert cheb["degree"] == 3
+        other = cheb["mass"] if schur == "vcycle" else [cheb["schur_mass_cg"]]
+        for e in cheb["velocity"] + other:
+            assert e["interval"] == [e["lam_max"] / 4.0, e["lam_max"]], schur
 
 
 @pytest.mark.parametrize("dim", [2, 3])
