@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Iterations, flag, solve seconds and peak vectors on the hard 3D layouts.
+"""Iterations, flag, solve seconds, peak vectors and solver MB on the hard
+3D layouts.
 
 The benchmark's 3D workload pins sinker layout 1, whose count does not
 vary; a random layout moves it between 15 and 123.  This script solves
@@ -36,7 +37,7 @@ def main(argv=None) -> None:
     given = {k: v for k, v in vars(parser.parse_args(argv)).items() if v is not None}
     for var in THREAD_VARS:  # numpy loads with the first run
         os.environ[var] = "1"
-    print(f"{'levels':>6} {'seed':>4} {'iters':>5} {'solve_s':>8} {'peak':>4}  flag")
+    print(f"{'levels':>6} {'seed':>4} {'iters':>5} {'solve_s':>8} {'peak':>4} {'MB':>6}  flag")
     for levels in LEVELS:
         for seed in SEEDS:
             cfg = dataclasses.replace(RunConfig(dim=3, levels=levels, seed=seed), **given)
@@ -44,7 +45,8 @@ def main(argv=None) -> None:
             flag = rec.flag or ("" if rec.converged else "unconverged")
             print(
                 f"{levels:>6} {seed:>4} {rec.iterations:>5} "
-                f"{rec.timings['solve_seconds']:>8.2f} {rec.peak_vector_count:>4}  {flag}",
+                f"{rec.timings['solve_seconds']:>8.2f} {rec.peak_vector_count:>4} "
+                f"{rec.memory['solver_vector_bytes'] / 1e6:>6.1f}  {flag}",
                 flush=True,
             )
 

@@ -8,7 +8,8 @@ Three experiment tables:
   contrast  iterations versus sinker count and viscosity contrast
             (difficulty grows with both dials)
   storage   working-vector footprint of fgmres / gmres / idr(2)
-            (2 per iteration / 1 per iteration / constant 5+3s)
+            (1 per iteration plus a pressure part per iteration /
+            1 per iteration / constant 5+3s)
 
 By default everything runs in 2D at moderate size (a few minutes); pass
 --full for the 3D variants used by the acceptance suite (tens of
@@ -69,13 +70,17 @@ def table_storage(full):
     dim, lv = (3, 3) if full else (2, 4)
     base = dict(dim=dim, levels=lv, sinkers=4, dynamic_ratio=1e4, seed=1,
                 schur="vcycle", max_iters=1000)
-    print(f"  {'solver':<10s}{'iters':>8s}{'P applications':>16s}{'vectors':>10s}{'MB':>10s}")
+    print(
+        f"  {'solver':<10s}{'iters':>8s}{'P applications':>16s}{'vectors':>10s}"
+        f"{'p parts':>10s}{'MB':>10s}"
+    )
     for solver in ("fgmres", "gmres", "idr"):
         rec = run_benchmark(RunConfig(solver=solver, **base))
         mb = rec.memory["solver_vector_bytes"] / 1e6
+        parts = rec.memory.get("solver_pressure_vector_count", 0)
         print(
             f"  {solver:<10s}{rec.iterations:>8d}{rec.precond_applications:>16d}"
-            f"{rec.peak_vector_count:>10d}{mb:>10.2f}"
+            f"{rec.peak_vector_count:>10d}{parts:>10d}{mb:>10.2f}"
         )
     n_app = rec.memory["application_vector_count"]
     print(f"  (+{n_app} application-owned vectors: solution, rhs, residual check)")

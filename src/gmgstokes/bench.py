@@ -213,15 +213,21 @@ def _flops_per_apply_A(ctx) -> float:
     return 2.0 * nc * n * n + 2.0 * nc * n
 
 
-def memory_report(system, precond, peak: int) -> dict:
+def memory_report(system, precond, stats) -> dict:
     """Instrumented byte counts per category.  The dof map bytes are what
     the operators hold: each level's ``u_map`` and ``p_map``, per-cell
     scales and gather scratch, and the shared element matrices; the
     constraint bytes are each level's ``u_constrained``.  Solver vector
-    bytes follow ``peak`` (the solver's peak_vector_count) x vector length
-    x 8.  The multigrid bytes cover the hierarchies' transfers and
+    bytes are 8 per entry of the solver's rows: its peak_vector_count
+    full-length vectors and, when FGMRES stores the pressure parts of its
+    preconditioned vectors, the ``solver_pressure_vector_count`` parts it
+    reached.  The multigrid bytes cover the hierarchies' transfers and
     smoothers and the level viscosities, not the Schur mass-CG smoother."""
     n = system.n_dofs
+    rows = {"solver_vector_count": int(stats.peak_vector_count)}
+    if stats.peak_part_count is not None:
+        rows["solver_pressure_vector_count"] = int(stats.peak_part_count)
+    solver_bytes = 8 * (stats.peak_vector_count * n + (stats.peak_part_count or 0) * system.n_p)
     mesh_bytes = sum(ctx.lattices.nbytes for ctx in system.contexts)
     dof_bytes = sum(
         ctx.u_map.nbytes + ctx.p_map.nbytes + ctx.a_scale.nbytes + ctx.mp_scale.nbytes
@@ -240,8 +246,8 @@ def memory_report(system, precond, peak: int) -> dict:
         "mesh_bytes": int(mesh_bytes),
         "dofmap_bytes": int(dof_bytes),
         "constraint_bytes": int(cons_bytes),
-        "solver_vector_count": int(peak),
-        "solver_vector_bytes": int(peak * n * 8),
+        **rows,
+        "solver_vector_bytes": int(solver_bytes),
         "application_vector_count": APPLICATION_VECTORS,
         "application_vector_bytes": int(APPLICATION_VECTORS * n * 8),
         "multigrid_aux_bytes": int(mg_bytes),
@@ -328,7 +334,7 @@ def run_benchmark(cfg: RunConfig) -> RunRecord:
     if cfg.solver == "gmres":
         x, stats = krylov.gmres(system.apply_flat, precond.apply, b, control)
     elif cfg.solver == "fgmres":
-        x, stats = krylov.fgmres(system.apply_flat, precond.apply, b, control)
+        x, stats = krylov.fgmres(system.apply_flat, precond, b, control)
     else:
         x, stats = krylov.idr_s(system.apply_flat, precond.apply, b, cfg.idr_s, control)
     t_solve = time.perf_counter() - t2
@@ -385,7 +391,7 @@ def run_benchmark(cfg: RunConfig) -> RunRecord:
         "total_seconds": t_setup + t_assemble + t_solve,
         "threads": cfg.threads,
     }
-    record.memory = memory_report(system, precond, stats.peak_vector_count)
+    record.memory = memory_report(system, precond, stats)
     record.chebyshev = chebyshev_report(precond)
     record.coarse_cg_iters_max = {
         kind: mg.coarse_iters_max for kind, mg in hierarchies.items() if mg is not None

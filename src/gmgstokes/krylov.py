@@ -14,7 +14,9 @@ right-hand side are application-owned and excluded, which makes the
 counts match the usual hand accounting:
 
 * ``gmres``   holds only the Arnoldi basis: j iterations -> j+1 vectors,
-* ``fgmres``  holds basis plus preconditioned basis: 2j+1 vectors,
+* ``fgmres``  holds basis plus preconditioned basis: 2j+1 vectors, or
+  j+1 vectors plus j parts (``SolverStats.peak_part_count``) when the
+  preconditioner names the part of its output that varies (:func:`fgmres`),
 * ``idr_s``   holds exactly 5+3s vectors regardless of iteration count,
 * ``cg``      holds 4 vectors.
 
@@ -62,6 +64,9 @@ class SolverStats:
     precond_applications: int = 0
     matvec_count: int = 0
     peak_vector_count: int = 0
+    # FGMRES rows of a preconditioner's stored parts; None when the solver
+    # stores no parts
+    peak_part_count: int | None = None
     residual_history: list = field(default_factory=list)
     converged: bool = False
     flag: str = ""
@@ -69,6 +74,10 @@ class SolverStats:
 
 def _identity(x):
     return x
+
+
+def _combine_rows(y, basis, stored):
+    return y @ stored
 
 
 def cg(op, precond, b, control: SolveControl):
@@ -132,10 +141,14 @@ def _gmres(op, precond, b, control, flexible):
     m = control.restart_length
     x = np.zeros(n)
 
-    # the Arnoldi basis, and FGMRES's preconditioned basis, as rows of one
-    # block each; the pages of rows never reached stay unmapped
+    # FGMRES stores the part of each preconditioned vector that its
+    # preconditioner names, whole rows for a plain callable
+    kept = getattr(pc, "stored", slice(None)) if flexible else slice(None)
+    combine = getattr(pc, "combine", _combine_rows)
+    # the Arnoldi basis, and FGMRES's stored preconditioned basis, as rows
+    # of one block each; the pages of rows never reached stay unmapped
     basis = np.empty((m + 1, n))
-    zbasis = np.empty((m if flexible else 0, n))
+    zbasis = np.empty((m if flexible else 0, b[kept].size))
     v_rows, z_rows = 1, 0  # rows of each block reached
 
     basis[0] = b
@@ -155,16 +168,14 @@ def _gmres(op, precond, b, control, flexible):
         cs, sn = np.zeros(m), np.zeros(m)
         k = 0
         for j in range(m):
-            if flexible:
-                z = zbasis[j]
-                z[:] = pc(basis[j])
-                z_rows = max(z_rows, j + 1)
-            else:
-                z = pc(basis[j])
+            z = pc(basis[j])
             stats.precond_applications += 1
+            if flexible:
+                zbasis[j] = z[kept]
+                z_rows = max(z_rows, j + 1)
             w = op(z)
             stats.matvec_count += 1
-            if np.may_share_memory(w, basis) or np.may_share_memory(w, zbasis):
+            if np.may_share_memory(w, basis):
                 w = w.copy()  # an identity op and preconditioner hand back a basis row
             # classical Gram-Schmidt, applied twice
             vj = basis[: j + 1]
@@ -204,7 +215,7 @@ def _gmres(op, precond, b, control, flexible):
             break
         y = np.linalg.solve(np.triu(hmat[:k, :k]), g[:k])
         if flexible:
-            x += y @ zbasis[:k]
+            x += combine(y, basis[:k], zbasis[:k])
         else:
             x += pc(y @ basis[:k])
             stats.precond_applications += 1
@@ -219,7 +230,10 @@ def _gmres(op, precond, b, control, flexible):
             break
     if not stats.converged and not stats.flag:
         stats.flag = "max_iters"
-    stats.peak_vector_count = v_rows + z_rows
+    if zbasis.shape[1] < n:
+        stats.peak_vector_count, stats.peak_part_count = v_rows, z_rows
+    else:
+        stats.peak_vector_count = v_rows + z_rows
     return x, stats
 
 
@@ -230,7 +244,14 @@ def gmres(op, precond, b, control: SolveControl):
 
 def fgmres(op, precond, b, control: SolveControl):
     """Flexible GMRES: the preconditioner may change between iterations,
-    at the price of one extra stored vector per iteration."""
+    at the price of one stored preconditioned vector per iteration.
+
+    A preconditioner whose output varies between applications only in a
+    part may say so: its ``stored`` attribute is the index (a slice) of
+    that part, and ``combine(y, basis, stored)`` rebuilds the sum over j
+    of ``y[j]`` times its output on ``basis[j]`` from the basis rows and
+    the stored parts of those outputs.  FGMRES then stores only that part
+    of each preconditioned vector.  A plain callable keeps whole rows."""
     return _gmres(op, precond, b, control, True)
 
 

@@ -14,6 +14,12 @@ viscosity-weighted pressure mass matrix: an inner Chebyshev-preconditioned
 CG solve (``cg``), one V-cycle (``vcycle``), or plain diagonal scaling
 (``diag``).  The inner CG iteration count varies between applications, so
 that choice requires a flexible outer solver.
+
+Only the pressure part of an application can vary, as Ahat_inv and B^T
+are fixed linear maps.  So FGMRES stores only that part (``stored``) and
+rebuilds its update with ``combine``: after j iterations it holds j+1
+full-length vectors and j pressure parts, against 2j+1 full-length
+vectors for a plain callable.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ class StokesPreconditioner:
             raise ValueError(f"unknown shape {shape!r}")
         self.system = system
         self.shape = shape
+        # the part of an application that FGMRES stores: the pressure block
+        self.stored = slice(system.n_u, None)
         self.schur = schur
         # inner CG iterations of each Schur application that ran one
         self.inner_counts: list[int] = []
@@ -81,4 +89,18 @@ class StokesPreconditioner:
         p = -self.schur_apply(r_p)
         if self.shape == "triangular":
             r_u = r_u - apply_Bt(self.system.active, p)
+        return np.concatenate([self.a_apply(r_u), p])
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """``apply``, for the solvers that take the preconditioner itself."""
+        return self.apply(r)
+
+    def combine(self, y: np.ndarray, basis: np.ndarray, stored: np.ndarray) -> np.ndarray:
+        """``sum_j y[j] * apply(basis[j])`` from the basis rows and the
+        pressure parts ``stored[j]`` of their applications: by linearity the
+        velocity part is one V-cycle of the combined velocity residual."""
+        p = y @ stored
+        r_u = y @ basis[:, : self.system.n_u]
+        if self.shape == "triangular":
+            r_u -= apply_Bt(self.system.active, p)
         return np.concatenate([self.a_apply(r_u), p])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -6,10 +8,10 @@ import oracle
 from conftest import make_system, random_viscosity
 from gmgstokes.bench import RunConfig
 from gmgstokes.fem import distribute_dofs, make_gauss_rule
-from gmgstokes.krylov import SolveControl, gmres
+from gmgstokes.krylov import SolveControl, fgmres, gmres
 from gmgstokes.mesh import build_hierarchy
 from gmgstokes.multigrid import build_mass_multigrid
-from gmgstokes.operators import StokesSystem
+from gmgstokes.operators import StokesSystem, assemble_rhs
 from gmgstokes.precond import StokesPreconditioner
 from gmgstokes.viscosity import average_active_viscosity, restrict_viscosity, sinker_config
 
@@ -183,3 +185,91 @@ def test_schur_mass_spectral_equivalence_intervals():
     lo2, hi2 = schur_interval(2)
     w1, w2 = hi1 - lo1, hi2 - lo2
     assert max(w1, w2) <= 2.0 * min(w1, w2)
+
+
+# ------------------------------------------------ FGMRES's stored pressure parts
+
+
+@pytest.fixture(scope="module")
+def sinker3d():
+    """The sinker system and load of the default run settings at 3D
+    levels=2 (2,312 DoF)."""
+    cfg = RunConfig(levels=2)
+    mesh = build_hierarchy(cfg.dim, cfg.levels + 1)
+    sk = sinker_config(cfg.dim, cfg.sinkers, cfg.dynamic_ratio, seed=cfg.seed)
+    rule = make_gauss_rule(3, cfg.dim)
+    mu = restrict_viscosity(average_active_viscosity(mesh, sk, rule), mesh)
+    system = StokesSystem(mesh, distribute_dofs(mesh), mu, rule)
+    return system, assemble_rhs(system.active, sk)
+
+
+@pytest.mark.parametrize(
+    "shape,schur,restart",
+    [(shape, schur, 50) for shape in ("triangular", "diagonal") for schur in ("cg", "vcycle", "diag")]
+    + [("triangular", "cg", 5)],
+)
+def test_fgmres_rebuilt_update_matches_full_rows(sinker3d, shape, schur, restart):
+    # FGMRES given the preconditioner stores only the pressure part of each
+    # preconditioned vector and rebuilds the velocity part of the update
+    # with one V-cycle; given a plain callable it stores full rows.  The
+    # Arnoldi steps are the same, so a first cycle agrees bit for bit, and
+    # later cycles start from solutions that differ by round-off
+    system, b = sinker3d
+    pc = StokesPreconditioner(system, shape=shape, schur=schur)
+    stored_shapes = []
+    combine = pc.combine
+
+    def spy(y, basis, stored):
+        stored_shapes.append(stored.shape)
+        return combine(y, basis, stored)
+
+    pc.combine = spy
+    ctl = SolveControl(1e-6, 500, restart)
+    x, stats = fgmres(system.apply_flat, pc, b, ctl)
+    x_full, full = fgmres(system.apply_flat, lambda r: pc.apply(r), b, ctl)
+
+    assert stats.converged and full.converged
+    assert (stats.iterations, stats.flag) == (full.iterations, full.flag)
+    hist, hist_full = np.array(stats.residual_history), np.array(full.residual_history)
+    assert np.array_equal(hist[:restart], hist_full[:restart])
+    after = np.abs(hist[restart:] - hist_full[restart:]) / hist_full[restart:]
+    assert np.all(after <= 1e-9)
+    assert np.linalg.norm(x - x_full) <= 1e-10 * np.linalg.norm(x_full)
+
+    rows = min(stats.iterations, restart)
+    assert stored_shapes and all(s[1] == system.n_p for s in stored_shapes)
+    assert (stats.peak_vector_count, stats.peak_part_count) == (rows + 1, rows)
+    assert (full.peak_vector_count, full.peak_part_count) == (2 * rows + 1, None)
+    if restart == 5:
+        assert stats.iterations > 2 * restart  # the case restarts more than once
+
+
+def test_fgmres_peak_memory_holds_pressure_parts(sinker3d):
+    # the bytes one Stokes FGMRES solve allocates, when it converges on the
+    # last step of its first cycle so that every row of its two blocks is
+    # reached: the basis of j+1 full-length vectors, j pressure parts, and
+    # at most K full-length vectors more.  K = 12 covers the solution x,
+    # the previous step's preconditioned vector and operator image, which
+    # live until the next step replaces them (2), and one preconditioner
+    # application or update rebuild (at most 6: the V-cycle's level vectors
+    # and the triangular shape's residual and stacked output), with the
+    # rest for the small Hessenberg and rotation arrays.  Storing whole
+    # preconditioned vectors, as for a plain callable, adds j velocity
+    # parts, about 26 vectors at j = 28
+    system, b = sinker3d
+    n, n_p = system.n_dofs, system.n_p
+    pc = StokesPreconditioner(system, shape="triangular", schur="cg")
+    _, first = fgmres(system.apply_flat, pc, b, SolveControl(1e-6, 500, 50))
+    j = first.iterations
+    assert first.converged and j < 50
+    pc = StokesPreconditioner(system, shape="triangular", schur="cg")
+    tracemalloc.start()
+    try:
+        _, stats = fgmres(system.apply_flat, pc, b, SolveControl(1e-6, 500, j))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.converged and stats.iterations == j
+    k = 12
+    assert peak <= (j + 1) * n * 8 + j * n_p * 8 + k * n * 8
+
