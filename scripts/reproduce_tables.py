@@ -13,7 +13,8 @@ Three experiment tables:
 
 By default everything runs in 2D at moderate size (a few minutes); pass
 --full for the 3D variants used by the acceptance suite (tens of
-minutes).
+minutes).  The BLAS pools are pinned to one thread before numpy loads,
+so the seconds printed per run are single-threaded.
 """
 
 import argparse
@@ -23,7 +24,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from gmgstokes.bench import RunConfig, run_benchmark
+from gmgstokes.bench import THREAD_VARS, RunConfig, run_benchmark  # loads no numpy
 
 
 def run(msg, **kw):
@@ -94,6 +95,8 @@ def main():
         help="comma list from {shapes, contrast, storage}",
     )
     args = ap.parse_args()
+    for var in THREAD_VARS:  # numpy loads with the first run
+        os.environ[var] = "1"
     wanted = {t.strip() for t in args.tables.split(",")}
     if "shapes" in wanted:
         table_shapes(args.full)

@@ -230,7 +230,7 @@ def memory_report(system, precond, stats) -> dict:
     solver_bytes = 8 * (stats.peak_vector_count * n + (stats.peak_part_count or 0) * system.n_p)
     mesh_bytes = sum(ctx.lattices.nbytes for ctx in system.contexts)
     dof_bytes = sum(
-        ctx.u_map.nbytes + ctx.p_map.nbytes + ctx.a_scale.nbytes + ctx.mp_scale.nbytes
+        ctx.u_map.nbytes + ctx.p_map.nbytes + ctx.a_col.nbytes + ctx.mp_col.nbytes
         + sum(w.nbytes for w in ctx.work)
         for ctx in system.contexts
     )
@@ -331,12 +331,11 @@ def run_benchmark(cfg: RunConfig) -> RunRecord:
     control = krylov.SolveControl(
         reduction_target=cfg.reduction, max_iters=cfg.max_iters, restart_length=cfg.restart
     )
-    if cfg.solver == "gmres":
-        x, stats = krylov.gmres(system.apply_flat, precond.apply, b, control)
-    elif cfg.solver == "fgmres":
-        x, stats = krylov.fgmres(system.apply_flat, precond, b, control)
+    if cfg.solver == "idr":
+        x, stats = krylov.idr_s(system.apply_flat, precond, b, cfg.idr_s, control)
     else:
-        x, stats = krylov.idr_s(system.apply_flat, precond.apply, b, cfg.idr_s, control)
+        solve = krylov.fgmres if cfg.solver == "fgmres" else krylov.gmres
+        x, stats = solve(system.apply_flat, precond, b, control)
     t_solve = time.perf_counter() - t2
 
     # operator applications per level during the solve (set-up applies no

@@ -130,7 +130,7 @@ class CoarseLevel:
         n = element.shape[0]
         free = np.delete(np.arange(n), constrained)
         self.inverse = np.eye(n)
-        self.inverse[np.ix_(free, free)] = np.linalg.inv(scale[0] * element[np.ix_(free, free)])
+        self.inverse[np.ix_(free, free)] = np.linalg.inv(scale * element[np.ix_(free, free)])
 
     @property
     def nbytes(self) -> int:
@@ -146,14 +146,14 @@ class CoarseLevel:
 def _level_operator(ctx: LevelOperatorContext, which: str):
     """One level's viscous block (``which="A"``, constrained on the
     velocity entries of the level's Dirichlet set) or pressure mass matrix
-    (``"Mp"``): its application, reference element matrix, per-cell
-    scales, constrained indices and component count.  The application
+    (``"Mp"``): its application, reference element matrix, per-cell scale
+    column, constrained indices and component count.  The application
     looks up ``apply_A``/``apply_Mp`` when called, so the tracer's
     rebinding reaches it."""
     if which == "A":
-        return (lambda v: apply_A(ctx, v)), ctx.elements.A, ctx.a_scale, ctx.u_constrained, ctx.dim
+        return (lambda v: apply_A(ctx, v)), ctx.elements.A, ctx.a_col, ctx.u_constrained, ctx.dim
     if which == "Mp":
-        return (lambda v: apply_Mp(ctx, v)), ctx.elements.Mp, ctx.mp_scale, _NO_DOFS, 1
+        return (lambda v: apply_Mp(ctx, v)), ctx.elements.Mp, ctx.mp_col, _NO_DOFS, 1
     raise ValueError(f"unknown operator {which!r}, expected 'A' or 'Mp'")
 
 

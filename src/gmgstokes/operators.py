@@ -106,14 +106,12 @@ class LevelOperatorContext:
     # velocity and pressure lengths, from the level's 2**level cells per axis
     n_u: int = field(init=False)
     n_p: int = field(init=False)
-    # per-cell scales of the viscous block, mu_c h**(dim-2), and of the
-    # pressure mass matrix, h**dim / mu_c
-    a_scale: np.ndarray = field(init=False, repr=False)
-    mp_scale: np.ndarray = field(init=False, repr=False)
-    # views that every application would otherwise make again: the flat
-    # maps the scatters index with and the scales as (n_cells, 1) columns
+    # the flat maps the scatters index with, views that every application
+    # would otherwise make again
     u_flat: np.ndarray = field(init=False, repr=False)
     p_flat: np.ndarray = field(init=False, repr=False)
+    # per-cell scales as (n_cells, 1) columns: of the viscous block,
+    # mu_c h**(dim-2), and of the pressure mass matrix, h**dim / mu_c
     a_col: np.ndarray = field(init=False, repr=False)
     mp_col: np.ndarray = field(init=False, repr=False)
     # scratch reused by every velocity application, so that a call
@@ -128,35 +126,13 @@ class LevelOperatorContext:
         n = 2**self.level
         self.n_u = self.dim * (2 * n + 1) ** self.dim
         self.n_p = (n + 1) ** self.dim
-        self.a_scale = self.mu * self.h ** (self.dim - 2)
-        self.mp_scale = self.h**self.dim / self.mu
         self.u_flat, self.p_flat = self.u_map.ravel(), self.p_map.ravel()
-        self.a_col, self.mp_col = self.a_scale[:, None], self.mp_scale[:, None]
+        self.a_col = (self.mu * self.h ** (self.dim - 2))[:, None]
+        self.mp_col = (self.h**self.dim / self.mu)[:, None]
         self.work = (np.empty(self.n_u), np.empty(self.u_map.shape), np.empty(self.u_map.shape))
 
     def count(self, name: str) -> None:
         self.counters[name] = self.counters.get(name, 0) + 1
-
-
-def make_level_context(
-    mesh: MeshHierarchy, dofs: tuple, mu: np.ndarray, level: int, rule: QuadratureRule
-) -> LevelOperatorContext:
-    """The context of ``level`` from its ``fem.distribute_dofs`` layout
-    ``(u_map, p_map, u_constrained)`` and cell viscosities."""
-    u_map, p_map, u_constrained = dofs
-    return LevelOperatorContext(
-        dim=mesh.dim,
-        level=level,
-        h=mesh.h(level),
-        n_cells=mesh.n_cells(level),
-        lattices=mesh.cell_lattices(level),
-        mu=mu,
-        rule=rule,
-        elements=_element_matrices(mesh.dim, rule),
-        u_map=u_map,
-        p_map=p_map,
-        u_constrained=u_constrained,
-    )
 
 
 def _scatter(flat_idx: np.ndarray, local: np.ndarray, n: int) -> np.ndarray:
@@ -239,12 +215,12 @@ def compute_diagonal(ctx: LevelOperatorContext, which: str) -> np.ndarray:
     """Exact diagonal of A or Mp: the per-cell scaling of the element
     matrix diagonal, scattered.  Constrained entries of A are set to 1."""
     if which == "A":
-        local = np.outer(ctx.a_scale, np.diag(ctx.elements.A))
+        local = ctx.a_col * np.diag(ctx.elements.A)
         out = _scatter(ctx.u_flat, local, ctx.n_u)
         out[ctx.u_constrained] = 1.0
         return out
     if which == "Mp":
-        local = np.outer(ctx.mp_scale, np.diag(ctx.elements.Mp))
+        local = ctx.mp_col * np.diag(ctx.elements.Mp)
         return _scatter(ctx.p_flat, local, ctx.n_p)
     raise ValueError(f"unknown operator {which!r}, expected 'A' or 'Mp'")
 
@@ -260,9 +236,23 @@ class StokesSystem:
     ):
         self.mesh = mesh
         self.rule = rule
+        # each level from its ``fem.distribute_dofs`` layout
+        # ``(u_map, p_map, u_constrained)`` and its cell viscosities
         self.contexts = [
-            make_level_context(mesh, dofs[level], mu[level], level, self.rule)
-            for level in range(mesh.n_levels)
+            LevelOperatorContext(
+                dim=mesh.dim,
+                level=level,
+                h=mesh.h(level),
+                n_cells=mesh.n_cells(level),
+                lattices=mesh.cell_lattices(level),
+                mu=mu[level],
+                rule=rule,
+                elements=_element_matrices(mesh.dim, rule),
+                u_map=u_map,
+                p_map=p_map,
+                u_constrained=u_constrained,
+            )
+            for level, (u_map, p_map, u_constrained) in enumerate(dofs)
         ]
         self.active = self.contexts[-1]
 

@@ -85,11 +85,7 @@ class StokesPreconditioner:
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """The block preconditioner on a stacked residual ``(r_u, r_p)``."""
-        r_u, r_p = r[: self.system.n_u], r[self.system.n_u :]
-        p = -self.schur_apply(r_p)
-        if self.shape == "triangular":
-            r_u = r_u - apply_Bt(self.system.active, p)
-        return np.concatenate([self.a_apply(r_u), p])
+        return self._step(r[: self.system.n_u], -self.schur_apply(r[self.system.n_u :]))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """``apply``, for the solvers that take the preconditioner itself."""
@@ -99,8 +95,11 @@ class StokesPreconditioner:
         """``sum_j y[j] * apply(basis[j])`` from the basis rows and the
         pressure parts ``stored[j]`` of their applications: by linearity the
         velocity part is one V-cycle of the combined velocity residual."""
-        p = y @ stored
-        r_u = y @ basis[:, : self.system.n_u]
+        return self._step(y @ basis[:, : self.system.n_u], y @ stored)
+
+    def _step(self, r_u: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """The stacked ``(u, p)`` with ``u = Ahat_inv (r_u - B^T p)`` for the
+        triangular shape and ``u = Ahat_inv r_u`` for the diagonal one."""
         if self.shape == "triangular":
-            r_u -= apply_Bt(self.system.active, p)
+            r_u = r_u - apply_Bt(self.system.active, p)
         return np.concatenate([self.a_apply(r_u), p])

@@ -12,7 +12,8 @@ of scalar FE functions, the reference the transfer and interpolation tests
 compare against, and the exact block preconditioners built from dense
 factorizations of the matrix-free blocks.  And the Krylov references:
 GMRES by modified Gram-Schmidt and IDR(s) on lists of vectors.  And the
-pre-smoothing-only V-cycle, the adjoint of the production cycle, and the
+pre-smoothing-only V-cycle, the adjoint of the production cycle, the
+power-step estimate of the velocity V-cycle's contraction, and the
 zero-mean shift of a solution's pressure.  And the first, row-wise forms
 of the set-up kernels that the production code now evaluates by columns
 and from the lattice, which it must match bit for bit.
@@ -25,7 +26,7 @@ import numpy as np
 from gmgstokes import krylov
 from gmgstokes.fem import QuadratureRule
 from gmgstokes.mesh import MeshHierarchy, lattice
-from gmgstokes.multigrid import chebyshev_smooth, prolongate, restrict
+from gmgstokes.multigrid import build_velocity_multigrid, chebyshev_smooth, prolongate, restrict
 from gmgstokes.operators import apply_A, apply_Bt
 from gmgstokes.precond import StokesPreconditioner
 
@@ -338,6 +339,24 @@ def vcycle_pre_only(mg, b, level=None):
     fine = prolongate(mg.plan, level, ec.reshape(lv.components, -1)).reshape(-1)
     fine[lv.constrained] = 0.0
     return x + fine
+
+
+def vcycle_contraction(system, steps: int = 12, seed: int = 0) -> float:
+    """The spectral radius of the velocity V-cycle's error propagator
+    E = I - V A on the system's active level, estimated by ``steps`` power
+    steps from a seeded normal vector: the growth ||E x|| / ||x|| of the
+    last step.  The start vector vanishes on the constrained entries, and
+    E keeps them zero, so the estimate is that of the free subspace."""
+    ctx = system.active
+    mg = build_velocity_multigrid(system)
+    x = np.random.default_rng(seed).standard_normal(ctx.n_u)
+    x[ctx.u_constrained] = 0.0
+    rho = 0.0
+    for _ in range(steps):
+        x /= np.linalg.norm(x)
+        x -= mg.vcycle(apply_A(ctx, x))
+        rho = float(np.linalg.norm(x))
+    return rho
 
 
 def gmres_mgs(op, precond, b, control, flexible):

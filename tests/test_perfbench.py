@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
@@ -18,13 +20,14 @@ def test_tracer_selftest_passes():
     assert "tracer self-test passed" in proc.stdout
 
 
-# one traced 2D levels=2 FGMRES + mass-CG run through the harness's own path
+# one traced 2D levels=2 run of the outer solver and Schur choice given
+# on the command line, through the harness's own path
 TRACED_RUN = """
 import json, sys
 sys.path.insert(0, "perfbench")
 import run
 assert run.use_checkout_source()
-config = {"dim": 2, "levels": 2, "solver": "fgmres", "schur": "cg"}
+config = {"dim": 2, "levels": 2, "solver": sys.argv[1], "schur": sys.argv[2]}
 workload = {"kind": "run", "config": config, "base_seeds": [1], "dofs": {"2": 187}}
 result = run.trace(run.Checked(workload, 1))
 values = {k: m["value"] for k, m in result["metrics"].items()}
@@ -32,11 +35,15 @@ print(json.dumps({"failures": result["failures"], "values": values}))
 """
 
 
-def test_traced_setup_functions_are_timed():
+@pytest.mark.parametrize("solver, schur", [("fgmres", "cg"), ("gmres", "vcycle"), ("idr", "diag")])
+def test_traced_setup_functions_are_timed(solver, schur):
     # the tracer finds the set-up functions by name and times every call,
-    # so each one that a run reaches reports a nonzero time
+    # so each one that a run reaches reports a nonzero time; and its
+    # cross-checks of the outer matvecs, preconditioner applications,
+    # top-level V-cycles and Schur CG iterations against the run record
+    # hold for every outer solver, each of which receives the preconditioner
     proc = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN],
+        [sys.executable, "-c", TRACED_RUN, solver, schur],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
